@@ -1,27 +1,33 @@
 """
 Parabolic subgroups and their double cosets in the symmetric group.
 
-A parabolic subgroup is generated by a set of simple transpositions.
-Each double coset under a pair of parabolics has a unique shortest and a
-unique longest member; the shortest ones are the permutations whose
-required ascent sets contain the generating indices, the longest ones
-the permutations whose ascent sets avoid the complements.  The induced
-order on cosets compares longest members, and ``check_interval_property``
-confirms each coset is exactly a full interval of the group order.
+A parabolic subgroup is generated by a set of simple transpositions; it
+permutes symbols only inside runs of consecutive indices, its blocks.
+The left factor acts on values and the right factor on positions.  The
+double cosets of a pair of parabolics correspond one to one to
+contingency tables, the nonnegative integer matrices whose row sums are
+the left block sizes and whose column sums are the right block sizes
+(Billey, Konvalinka, Petersen, Slofstra and Tenner, "Parabolic double
+cosets in Coxeter groups", Discrete Analysis 2018).  Each table yields
+its coset's unique shortest and longest members and its size without
+visiting the group.  The induced order on cosets compares longest
+members, and ``check_interval_property`` confirms against the
+whole-group order tables that each coset is a full interval.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
-from .bruhat import leq, order_tables
+from .bruhat import order_tables, rank_guard, rank_key
 from .symgroup import (
     DEFAULT_DEGREE_CAP,
     CapExceeded,
     GenSet,
     Perm,
-    all_permutations,
     check_genset,
     compose,
     format_genset,
@@ -49,90 +55,6 @@ def parabolic_elements(degree: int, gens: GenSet) -> frozenset[Perm]:
                 seen.add(x)
                 frontier.append(x)
     return frozenset(seen)
-
-
-@lru_cache(maxsize=8)
-def _descent_profiles(degree: int) -> tuple[tuple[Perm, int, int], ...]:
-    """Per-permutation ascent bitmasks, for filtering representatives.
-
-    Rows are ``(w, asc, asc_inv)`` where bit i-1 of ``asc`` is set when
-    i is a right ascent of w, and ``asc_inv`` the same for the inverse.
-    Position-side conditions on the left of w are value-side conditions
-    on w itself, hence the inverse mask.
-    """
-    rows = []
-    for w in all_permutations(degree):
-        asc = 0
-        for i in right_ascents(w):
-            asc |= 1 << (i - 1)
-        asc_inv = 0
-        for i in right_ascents(inverse(w)):
-            asc_inv |= 1 << (i - 1)
-        rows.append((w, asc, asc_inv))
-    return tuple(rows)
-
-
-def _genset_mask(gens: GenSet) -> int:
-    mask = 0
-    for i in gens:
-        mask |= 1 << (i - 1)
-    return mask
-
-
-def min_representatives(degree: int, left_gens: GenSet, right_gens: GenSet) -> list[Perm]:
-    """Shortest double coset members: left and right ascents cover both gensets.
-
-    Sorted lexicographically by one-line word.
-    """
-    check_genset(left_gens, degree)
-    check_genset(right_gens, degree)
-    lmask = _genset_mask(left_gens)
-    rmask = _genset_mask(right_gens)
-    return [
-        w
-        for w, asc, asc_inv in _descent_profiles(degree)
-        if (asc_inv & lmask) == lmask and (asc & rmask) == rmask
-    ]
-
-
-def max_representatives(degree: int, left_gens: GenSet, right_gens: GenSet) -> list[Perm]:
-    """Longest double coset members: all ascents lie inside the complements."""
-    check_genset(left_gens, degree)
-    check_genset(right_gens, degree)
-    full = (1 << (degree - 1)) - 1
-    lco = full & ~_genset_mask(left_gens)
-    rco = full & ~_genset_mask(right_gens)
-    return [
-        w
-        for w, asc, asc_inv in _descent_profiles(degree)
-        if (asc_inv & ~lco) == 0 and (asc & ~rco) == 0
-    ]
-
-
-def _partition(degree: int, left_gens: GenSet, right_gens: GenSet) -> list[set[Perm]]:
-    """Orbits of left/right multiplication by the two gensets."""
-    blocks: list[set[Perm]] = []
-    placed: set[Perm] = set()
-    for w in all_permutations(degree):
-        if w in placed:
-            continue
-        block = {w}
-        frontier = [w]
-        while frontier:
-            x = frontier.pop()
-            for i in left_gens:
-                y = mult_left(x, i)
-                if y not in block:
-                    block.add(y)
-                    frontier.append(y)
-            for i in right_gens:
-                y = mult_right(x, i)
-                if y not in block:
-                    block.add(y)
-                    frontier.append(y)
-        placed |= block
-        blocks.append(block)
-    return blocks
 
 
 @dataclass(frozen=True)
@@ -201,40 +123,162 @@ class DoubleCosetTable:
         return "\n".join(lines) + "\n"
 
 
+#: Most double cosets one call may list: the count for the trivial pair
+#: at the default degree cap, so every input that cap admits still runs.
+COSET_CAP = math.factorial(DEFAULT_DEGREE_CAP)
+
+
+def _blocks(degree: int, gens: GenSet) -> tuple[int, ...]:
+    """Sizes of the runs of consecutive symbols that the generators join."""
+    sizes = [1]
+    for i in range(1, degree):
+        if i in gens:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return tuple(sizes)
+
+
+def _factorial_product(sizes) -> int:
+    return math.prod(math.factorial(k) for k in sizes)
+
+
+def _fillings(total: int, room: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Vectors v with sum total and 0 <= v[b] <= room[b]."""
+    if len(room) == 1:
+        if total <= room[0]:
+            yield (total,)
+        return
+    rest = sum(room[1:])
+    for x in range(max(0, total - rest), min(room[0], total) + 1):
+        for tail in _fillings(total - x, room[1:]):
+            yield (x,) + tail
+
+
+def _tables(rows: tuple[int, ...], cols: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Nonnegative integer matrices with the given row and column sums.
+
+    Filled row by row.  Whatever the earlier rows took, the remaining
+    margins have equal totals, so some matrix completes them and no
+    branch dead-ends; the last row is forced.
+    """
+    if len(rows) == 1:
+        yield (cols,)
+        return
+    for first in _fillings(rows[0], cols):
+        left = tuple(c - x for c, x in zip(cols, first))
+        for rest in _tables(rows[1:], left):
+            yield (first,) + rest
+
+
+def _coset_entry(rows, table, group_order: int) -> CosetEntry:
+    """Shortest member, longest member and size of one table's coset.
+
+    Entry (a, b) of the table counts the positions of right block b that
+    hold values of left block a.  The shortest member hands each left
+    block's values out in increasing order, to the right blocks from
+    left to right, and lists each right block increasing; the longest
+    hands them out in decreasing order and lists each block decreasing.
+    The coset is W_I w W_J, of size |W_I| |W_J| / |W_I cap w W_J w^-1|,
+    and that intersection is the product of the symmetric groups on the
+    table's cells.
+    """
+    low = []
+    high = []
+    start = 0
+    for size in rows:
+        low.append(start + 1)
+        start += size
+        high.append(start)
+    shortest: list[int] = []
+    longest: list[int] = []
+    for b in range(len(table[0])):
+        for a in range(len(rows)):
+            m = table[a][b]
+            shortest.extend(range(low[a], low[a] + m))
+            low[a] += m
+        for a in reversed(range(len(rows))):
+            m = table[a][b]
+            longest.extend(range(high[a], high[a] - m, -1))
+            high[a] -= m
+    stabilizer = math.prod(math.factorial(m) for row in table for m in row)
+    return CosetEntry(tuple(shortest), tuple(longest), group_order // stabilizer)
+
+
+def double_cosets(degree: int, left_gens: GenSet, right_gens: GenSet) -> Iterator[CosetEntry]:
+    """Every double coset W_I w W_J, one per contingency table, unsorted.
+
+    The left genset's blocks of values give the row sums and the right
+    genset's blocks of positions the column sums.  Nothing enumerates
+    the group, so the work grows with the number of cosets; that number
+    is at most degree! / max(|W_I|, |W_J|), and the call refuses up
+    front when this bound exceeds ``COSET_CAP``.
+    """
+    if degree < 1:
+        raise ValueError(f"degree must be at least 1, got {degree}")
+    rows = _blocks(degree, check_genset(left_gens, degree))
+    cols = _blocks(degree, check_genset(right_gens, degree))
+    left_order = _factorial_product(rows)
+    right_order = _factorial_product(cols)
+    bound = math.factorial(degree) // max(left_order, right_order)
+    if bound > COSET_CAP:
+        raise CapExceeded(
+            f"degree {degree} with these gensets allows up to {bound} double cosets, "
+            f"over the enumeration cap {COSET_CAP}"
+        )
+    group_order = left_order * right_order
+    return (_coset_entry(rows, t, group_order) for t in _tables(rows, cols))
+
+
+def min_representatives(degree: int, left_gens: GenSet, right_gens: GenSet) -> list[Perm]:
+    """Shortest double coset members, sorted lexicographically by one-line word.
+
+    These are the permutations whose left and right ascents cover the
+    two gensets.
+    """
+    return sorted(e.min_rep for e in double_cosets(degree, left_gens, right_gens))
+
+
+def max_representatives(degree: int, left_gens: GenSet, right_gens: GenSet) -> list[Perm]:
+    """Longest double coset members, sorted lexicographically by one-line word.
+
+    These are the permutations whose ascents all lie inside the
+    complements of the two gensets.
+    """
+    return sorted(e.max_rep for e in double_cosets(degree, left_gens, right_gens))
+
+
 def decompose(degree: int, left_gens: GenSet, right_gens: GenSet) -> DoubleCosetTable:
     """Split the group into double cosets and order them.
 
-    The coset order compares longest members; its covering relation is
-    computed from the comparability masks of the whole group.
+    The coset order compares longest members by their packed rank
+    matrices.  A strictly smaller element of the group order is also
+    lexicographically smaller, so with entries sorted by longest member
+    only pairs a < b need testing.  Scanning a's up-set in that order, b
+    covers a exactly when it lies above none of a's earlier covers, and
+    a's up-set is the union of its covers' up-sets, so the entries are
+    processed from the top down.
     """
-    if degree > DEFAULT_DEGREE_CAP:
-        raise CapExceeded(f"degree {degree} exceeds the enumeration cap {DEFAULT_DEGREE_CAP}")
     left_gens = check_genset(left_gens, degree)
     right_gens = check_genset(right_gens, degree)
-    blocks = _partition(degree, left_gens, right_gens)
-    entries = []
-    for block in blocks:
-        longest = max(block, key=length)
-        shortest = min(block, key=length)
-        entries.append(CosetEntry(shortest, longest, len(block)))
-    entries.sort(key=lambda e: e.max_rep)
-    elements, index, up, down = order_tables(degree)
-    ids = [index[e.max_rep] for e in entries]
-    rep_mask = 0
-    for i in ids:
-        rep_mask |= 1 << i
-    order = []
-    for a in range(len(entries)):
-        for b in range(len(entries)):
-            if a == b or not (up[ids[a]] >> ids[b]) & 1:
-                continue
-            # b covers a in the coset order when no third coset's
-            # longest member lies strictly between the two.
-            strict = up[ids[a]] & down[ids[b]] & rep_mask
-            strict &= ~(1 << ids[a]) & ~(1 << ids[b])
-            if not strict:
-                order.append((a, b))
-    return DoubleCosetTable(degree, left_gens, right_gens, tuple(entries), tuple(order))
+    entries = sorted(double_cosets(degree, left_gens, right_gens), key=lambda e: e.max_rep)
+    guard = rank_guard(degree)
+    keys = [rank_key(e.max_rep) for e in entries]
+    raised = [key | guard for key in keys]
+    n = len(entries)
+    up = [0] * n
+    covers: list[list[int]] = [[] for _ in range(n)]
+    for a in reversed(range(n)):
+        key = keys[a]
+        above = 0
+        for b in range(a + 1, n):
+            # rank_leq(key, keys[b], guard), inlined for the hot loop
+            if not above >> b & 1 and (raised[b] - key) & guard == guard:
+                covers[a].append(b)
+                above |= up[b]
+        up[a] = above | 1 << a
+    order = tuple((a, b) for a in range(n) for b in covers[a])
+    return DoubleCosetTable(degree, left_gens, right_gens, tuple(entries), order)
 
 
 def coset_members(w: Perm, left_gens: GenSet, right_gens: GenSet) -> frozenset[Perm]:
@@ -308,18 +352,20 @@ def factorize(x: Perm, left_gens: GenSet, right_gens: GenSet) -> tuple[Perm, Per
 
 
 def check_interval_property(degree: int, left_gens: GenSet, right_gens: GenSet) -> bool:
-    """Every double coset must equal the full order interval between its ends."""
+    """Every double coset must equal the full order interval between its ends.
+
+    An oracle: it walks each coset and reads the whole group's order
+    tables, so it keeps the degree cap.
+    """
     if degree > DEFAULT_DEGREE_CAP:
         raise CapExceeded(f"degree {degree} exceeds the enumeration cap {DEFAULT_DEGREE_CAP}")
     left_gens = check_genset(left_gens, degree)
     right_gens = check_genset(right_gens, degree)
     elements, index, up, down = order_tables(degree)
-    for block in _partition(degree, left_gens, right_gens):
-        lo = min(block, key=length)
-        hi = max(block, key=length)
-        between = up[index[lo]] & down[index[hi]]
+    for entry in double_cosets(degree, left_gens, right_gens):
+        between = up[index[entry.min_rep]] & down[index[entry.max_rep]]
         members = 0
-        for w in block:
+        for w in coset_members(entry.min_rep, left_gens, right_gens):
             members |= 1 << index[w]
         if between != members:
             return False

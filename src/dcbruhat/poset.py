@@ -12,7 +12,6 @@ sizes we care about (a few thousand elements at most).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Sequence
 
 import networkx as nx
@@ -446,8 +445,3 @@ def classify_shape(p: FinitePoset) -> ShapeClass:
         if m is not None and are_isomorphic(p, _ladder_template(tag, m)):
             return ShapeClass(tag, m)
     return ShapeClass(UNRECOGNIZED)
-
-
-@lru_cache(maxsize=None)
-def _template_cached(tag: str, param: int | None) -> FinitePoset:
-    return shape_template(ShapeClass(tag, param))

@@ -12,6 +12,9 @@ from dcbruhat.bruhat import (
     leq,
     leq_subword_oracle,
     order_tables,
+    rank_guard,
+    rank_key,
+    rank_leq,
     reduced_word,
 )
 from dcbruhat.symgroup import (
@@ -27,6 +30,7 @@ perm5 = st.permutations(tuple(range(1, 6))).map(tuple)
 perm6 = st.permutations(tuple(range(1, 7))).map(tuple)
 
 S4 = list(all_permutations(4))
+S5 = list(all_permutations(5))
 
 
 def test_partial_order_axioms_exhaustive():
@@ -150,3 +154,16 @@ def test_order_tables_encode_leq():
         bit = (up[index[u]] >> index[v]) & 1
         assert bool(bit) == leq(u, v)
         assert bool((down[index[v]] >> index[u]) & 1) == leq(u, v)
+
+
+def test_packed_rank_comparison_matches_leq_exhaustively():
+    guard = rank_guard(5)
+    keys = {w: rank_key(w) for w in S5}
+    for u, v in itertools.product(S5, repeat=2):
+        assert rank_leq(keys[u], keys[v], guard) == leq(u, v), (u, v)
+
+
+def test_lexicographic_order_extends_strong_order():
+    for u, v in itertools.product(S5, repeat=2):
+        if u != v and leq(u, v):
+            assert u < v

@@ -1,6 +1,7 @@
 """Command-line plumbing: exit codes, formats, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -103,6 +104,32 @@ def test_orbit_rejects_non_dominant(capsys):
 
 def test_degree_cap_errors(capsys):
     code, _, err = run(capsys, "cosets", "--degree", "9", "--ic", "{}", "--jc", "{}")
+    assert code == 2
+    assert "cap" in err
+
+
+def test_degree_cap_flag_raises_the_cap(capsys):
+    code, out, err = run(
+        capsys, "cosets", "--degree", "9", "--ic", "{1,3}", "--jc", "{2}",
+        "--degree-cap", "9", "--format", "json",
+    )
+    assert code == 0, err
+    assert sum(c["size"] for c in json.loads(out)["cosets"]) == math.factorial(9)
+    code, out, err = run(
+        capsys, "hasse", "--degree", "9", "--ic", "{3}", "--jc", "{1,4}",
+        "--degree-cap", "9", "--format", "json",
+    )
+    assert code == 0, err
+    code, out, err = run(capsys, "verify", "--degrees", "9", "--degree-cap", "9")
+    assert code in (0, 1), err
+    assert "degree 9" in out
+
+
+def test_coset_budget_refuses_large_pairs(capsys):
+    code, _, err = run(
+        capsys, "cosets", "--degree", "9", "--ic", "{1,2,3,4,5,6,7,8}",
+        "--jc", "{1,2,3,4,5,6,7,8}", "--degree-cap", "9",
+    )
     assert code == 2
     assert "cap" in err
 

@@ -2,12 +2,13 @@
 
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcbruhat.bruhat import leq
+from dcbruhat.bruhat import leq, order_tables
 from dcbruhat.parabolic import (
     check_interval_property,
     coset_members,
@@ -20,6 +21,7 @@ from dcbruhat.parabolic import (
     parabolic_elements,
 )
 from dcbruhat.symgroup import (
+    CapExceeded,
     all_permutations,
     compose,
     full_genset,
@@ -27,6 +29,8 @@ from dcbruhat.symgroup import (
     left_ascents,
     left_descents,
     length,
+    mult_left,
+    mult_right,
     right_ascents,
     right_descents,
 )
@@ -35,11 +39,109 @@ perm6 = st.permutations(tuple(range(1, 7))).map(tuple)
 genset5 = st.frozensets(st.sampled_from(range(1, 6)))
 
 S4 = list(all_permutations(4))
-SUBSETS4 = [
-    frozenset(s)
-    for r in range(4)
-    for s in itertools.combinations(range(1, 4), r)
-]
+
+
+def subsets(degree):
+    return [
+        frozenset(s)
+        for r in range(degree)
+        for s in itertools.combinations(range(1, degree), r)
+    ]
+
+
+# --- whole-group oracles for the contingency-table engine -------------------
+
+
+def oracle_representatives(degree, I, J):
+    """Shortest and longest coset members by filtering the whole group.
+
+    Shortest members have every left generator as a left ascent and
+    every right generator as a right ascent; longest members have none.
+    """
+    shortest, longest = [], []
+    for w in all_permutations(degree):
+        left, right = left_ascents(w), right_ascents(w)
+        if I <= left and J <= right:
+            shortest.append(w)
+        if not I & left and not J & right:
+            longest.append(w)
+    return shortest, longest
+
+
+def oracle_decompose(degree, I, J):
+    """Entries and covers from orbits of the group and its order tables."""
+    blocks, placed = [], set()
+    for w in all_permutations(degree):
+        if w in placed:
+            continue
+        block, frontier = {w}, [w]
+        while frontier:
+            x = frontier.pop()
+            for y in [mult_left(x, i) for i in I] + [mult_right(x, j) for j in J]:
+                if y not in block:
+                    block.add(y)
+                    frontier.append(y)
+        placed |= block
+        blocks.append(block)
+    entries = sorted(
+        ((min(b, key=length), max(b, key=length), len(b)) for b in blocks),
+        key=lambda e: e[1],
+    )
+    _, index, up, down = order_tables(degree)
+    ids = [index[e[1]] for e in entries]
+    rep_mask = sum(1 << i for i in ids)
+    order = []
+    for a, b in itertools.permutations(range(len(entries)), 2):
+        if not up[ids[a]] >> ids[b] & 1:
+            continue
+        strict = up[ids[a]] & down[ids[b]] & rep_mask & ~(1 << ids[a]) & ~(1 << ids[b])
+        if not strict:
+            order.append((a, b))
+    return entries, sorted(order)
+
+
+def assert_engine_matches_oracles(degree, I, J):
+    shortest, longest = oracle_representatives(degree, I, J)
+    assert min_representatives(degree, I, J) == shortest
+    assert max_representatives(degree, I, J) == longest
+    entries, order = oracle_decompose(degree, I, J)
+    table = decompose(degree, I, J)
+    assert [(e.min_rep, e.max_rep, e.size) for e in table.entries] == entries
+    assert list(table.order) == order
+    assert sum(e.size for e in table.entries) == math.factorial(degree)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_engine_matches_oracles_on_every_pair(degree):
+    for I, J in itertools.product(subsets(degree), repeat=2):
+        assert_engine_matches_oracles(degree, I, J)
+
+
+def test_engine_matches_oracle_on_whole_group_degree6():
+    assert_engine_matches_oracles(6, frozenset(), frozenset())
+
+
+@pytest.mark.slow
+def test_engine_matches_oracles_on_every_pair_degree6():
+    for I, J in itertools.product(subsets(6), repeat=2):
+        assert_engine_matches_oracles(6, I, J)
+
+
+def test_coset_cap_refuses_up_front():
+    # 12! cosets for the trivial pair, far past the cap
+    with pytest.raises(CapExceeded):
+        max_representatives(12, frozenset(), frozenset())
+    with pytest.raises(CapExceeded):
+        decompose(9, frozenset(), frozenset())
+
+
+def test_engine_runs_past_the_degree_cap():
+    full = full_genset(12)
+    table = decompose(12, full - {3}, full - {2, 5})
+    assert sum(e.size for e in table.entries) == math.factorial(12)
+    assert [e.max_rep for e in table.entries] == max_representatives(12, full - {3}, full - {2, 5})
+    p = table.poset()
+    assert p.top() == tuple(range(12, 0, -1))
 
 
 def test_parabolic_subgroup_sizes():
@@ -103,7 +205,7 @@ def test_coset_is_a_bruhat_interval():
 
 
 def test_interval_property_exhaustive_small():
-    for I, J in itertools.product(SUBSETS4, repeat=2):
+    for I, J in itertools.product(subsets(4), repeat=2):
         assert check_interval_property(4, I, J)
 
 

@@ -11,6 +11,7 @@ from dcbruhat.spherical import (
     build_xplus_poset,
     matches_family,
     predicted_bottom,
+    shape_in_family,
     spherical_pairs,
     verify_case,
     verify_theorem,
@@ -215,3 +216,11 @@ def test_taller_ladder_at_degree_eight():
     assert classify_shape(p).tag == "ladder-d"
     assert p.bottom() == predicted_bottom(case)
     assert p.top() == longest_element(8)
+
+
+@pytest.mark.parametrize("degree", [4, 5, 6, 7, 8])
+def test_shape_in_family_agrees_with_matches_family(degree):
+    for case in spherical_pairs(degree):
+        poset = build_xplus_poset(degree, case.i_complement, case.j_complement)
+        expected = matches_family(poset, case.predicted_shape)
+        assert shape_in_family(classify_shape(poset), case.predicted_shape) == expected, case.key()
