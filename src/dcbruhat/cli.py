@@ -27,7 +27,7 @@ from .symgroup import (
 ENV_DEGREE_CAP = "DCBRUHAT_DEGREE_CAP"
 
 
-def _degree_cap(args) -> int:
+def _degree_cap(args, default: int = DEFAULT_DEGREE_CAP) -> int:
     if args.degree_cap is not None:
         return args.degree_cap
     env = os.environ.get(ENV_DEGREE_CAP)
@@ -36,7 +36,7 @@ def _degree_cap(args) -> int:
             return int(env)
         except ValueError:
             raise ValueError(f"bad {ENV_DEGREE_CAP} value: {env!r}") from None
-    return DEFAULT_DEGREE_CAP
+    return default
 
 
 def _check_degree(degree: int, cap: int) -> int:
@@ -121,7 +121,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tight(args) -> int:
-    report = weights.tight_scan(args.degree)
+    report = weights.tight_scan(args.degree, _degree_cap(args, weights.TIGHT_SCAN_CAP))
     if args.format == "json":
         _emit(report.to_json(), args)
     else:
@@ -142,6 +142,9 @@ def cmd_compare(args) -> int:
 
 def cmd_orbit(args) -> int:
     theta = weights.check_dominant(weights.parse_weight(args.theta))
+    cap = _degree_cap(args)
+    if len(theta) > cap:
+        raise CapExceeded(f"degree {len(theta)} exceeds the cap {cap}")
     restriction = None
     if args.restrict is not None:
         restriction = parse_genset(args.restrict)

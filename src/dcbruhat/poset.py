@@ -5,9 +5,11 @@ shapes our coset posets are classified against.
 A ``FinitePoset`` is immutable once built.  The constructor takes the
 covering relation and validates it outright (acyclic, transitively
 reduced); ``from_relation`` builds the covers from a raw comparison
-instead.  Reachability is kept as per-element bitmasks over the element
-list, which makes ``leq``, height and the lattice check cheap at the
-sizes we care about (a few thousand elements at most).
+instead, and ``from_up_masks`` from a relation already held as bitmasks;
+both reduce through ``hasse_reduction``.  Reachability is kept as
+per-element bitmasks over the element list, which makes ``leq``, height
+and the lattice check cheap at the sizes we care about (a few thousand
+elements at most).
 """
 from __future__ import annotations
 
@@ -19,6 +21,31 @@ import networkx as nx
 
 class NotAPartialOrder(ValueError):
     """The input relation fails one of the partial order axioms."""
+
+
+def hasse_reduction(up: Sequence[int]) -> list[int]:
+    r"""Cover masks of a reflexive relation given by its up masks.
+
+    The covers of i are ``up[i] \ {i}`` minus the union of
+    ``up[j] \ {j}`` over j in that set.  Raises ``NotAPartialOrder``
+    when the relation is not transitive.
+
+    >>> hasse_reduction([0b111, 0b110, 0b100])
+    [2, 4, 0]
+    """
+    strict = [mask & ~(1 << i) for i, mask in enumerate(up)]
+    out = []
+    for i, mask in enumerate(up):
+        above = 0
+        m = strict[i]
+        while m:
+            low = m & -m
+            m ^= low
+            above |= strict[low.bit_length() - 1]
+        if above & ~mask:
+            raise NotAPartialOrder("relation is not transitive")
+        out.append(strict[i] & ~above)
+    return out
 
 
 class FinitePoset:
@@ -35,19 +62,21 @@ class FinitePoset:
         cover_pairs = []
         adj = [0] * n
         radj = [0] * n
+        index_pairs = []
         seen = set()
         for lo, hi in covers:
-            if lo not in index or hi not in index:
+            i, j = index.get(lo), index.get(hi)
+            if i is None or j is None:
                 raise NotAPartialOrder(f"cover endpoint not an element: {(lo, hi)!r}")
-            if lo == hi:
+            if i == j:
                 raise NotAPartialOrder(f"self-cover at {lo!r}")
-            pair = (index[lo], index[hi])
-            if pair in seen:
+            if (i, j) in seen:
                 continue
-            seen.add(pair)
+            seen.add((i, j))
             cover_pairs.append((lo, hi))
-            adj[pair[0]] |= 1 << pair[1]
-            radj[pair[1]] |= 1 << pair[0]
+            index_pairs.append((i, j))
+            adj[i] |= 1 << j
+            radj[j] |= 1 << i
 
         # Kahn's algorithm; a leftover node means a cycle.
         indeg = [bin(radj[i]).count("1") for i in range(n)]
@@ -76,17 +105,18 @@ class FinitePoset:
                 mask |= up[j]
             up[i] = mask
         down = [0] * n
-        for i in range(n):
-            m = up[i]
+        for i in topo:
+            mask = 1 << i
+            m = radj[i]
             while m:
                 j = (m & -m).bit_length() - 1
                 m &= m - 1
-                down[j] |= 1 << i
+                mask |= down[j]
+            down[i] = mask
 
         # Transitive reducedness: no cover may also be reachable through
         # an intermediate element.
-        for lo, hi in cover_pairs:
-            i, j = index[lo], index[hi]
+        for (lo, hi), (i, j) in zip(cover_pairs, index_pairs):
             between = up[i] & down[j] & ~(1 << i) & ~(1 << j)
             if between:
                 raise NotAPartialOrder(f"cover {(lo, hi)!r} is implied by shorter covers")
@@ -126,45 +156,43 @@ class FinitePoset:
             elts.sort()
         except TypeError:
             pass
-        n = len(elts)
-        if len(set(elts)) != n:
-            raise NotAPartialOrder("duplicate elements")
-        rel = [0] * n
+        rel = [0] * len(elts)
         for i, x in enumerate(elts):
             for j, y in enumerate(elts):
                 if relation(x, y):
                     rel[i] |= 1 << j
+        return cls.from_up_masks(elts, rel)
+
+    @classmethod
+    def from_up_masks(cls, elements: Sequence[Hashable], up: Sequence[int]) -> "FinitePoset":
+        """Build from relation masks, checking the order axioms.
+
+        Bit j of ``up[i]`` says ``elements[i] <= elements[j]``.  Elements
+        keep the given order.
+        """
+        elts = tuple(elements)
+        n = len(elts)
+        if len(set(elts)) != n:
+            raise NotAPartialOrder("duplicate elements")
+        if len(up) != n:
+            raise ValueError(f"{len(up)} masks for {n} elements")
         for i in range(n):
-            if not rel[i] & (1 << i):
+            if not up[i] >> i & 1:
                 raise NotAPartialOrder(f"relation is not reflexive at {elts[i]!r}")
-            for j in range(n):
-                if i != j and rel[i] & (1 << j) and rel[j] & (1 << i):
-                    raise NotAPartialOrder(
-                        f"relation is not antisymmetric on {elts[i]!r}, {elts[j]!r}"
-                    )
-        for i in range(n):
-            m = rel[i] & ~(1 << i)
-            acc = 0
-            mm = m
-            while mm:
-                j = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                acc |= rel[j]
-            if acc & ~rel[i]:
-                raise NotAPartialOrder("relation is not transitive")
+        cover_masks = hasse_reduction(up)
+        # A transitive relation is antisymmetric exactly when no two
+        # elements share an up-set.
+        first: dict[int, int] = {}
+        for j, mask in enumerate(up):
+            i = first.setdefault(mask, j)
+            if i != j:
+                raise NotAPartialOrder(f"relation is not antisymmetric on {elts[i]!r}, {elts[j]!r}")
         covers = []
-        for i in range(n):
-            m = rel[i] & ~(1 << i)
-            mm = m
-            while mm:
-                j = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                # j covers i when nothing else sits strictly between.
-                if not any(
-                    k != i and k != j and rel[i] & (1 << k) and rel[k] & (1 << j)
-                    for k in range(n)
-                ):
-                    covers.append((elts[i], elts[j]))
+        for i, m in enumerate(cover_masks):
+            while m:
+                j = (m & -m).bit_length() - 1
+                m &= m - 1
+                covers.append((elts[i], elts[j]))
         return cls(elts, covers)
 
     def __len__(self) -> int:
@@ -269,16 +297,15 @@ class FinitePoset:
     def to_dot(self, label: Callable[[Hashable], str] = str) -> str:
         """Graphviz source for the Hasse diagram, bottom to top."""
         lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=plaintext];"]
-        nodes = sorted(
-            (self._level[self._index[x]], label(x), x) for x in self.elements
-        )
+        nodes = sorted((self._level[i], label(x), x) for i, x in enumerate(self.elements))
         names = {}
-        for k, (_, text, x) in enumerate(nodes):
+        ranks: dict[int, list[str]] = {}
+        for k, (lvl, text, x) in enumerate(nodes):
             names[x] = f"n{k}"
+            ranks.setdefault(lvl, []).append(f"n{k}")
             lines.append(f'  n{k} [label="{text}"];')
-        for lvl in sorted(set(self._level)):
-            group = [names[x] for _, _, x in nodes if self._level[self._index[x]] == lvl]
-            lines.append("  { rank=same; " + "; ".join(group) + "; }")
+        for lvl in sorted(ranks):
+            lines.append("  { rank=same; " + "; ".join(ranks[lvl]) + "; }")
         for lo, hi in sorted(self.covers, key=lambda p: (names[p[0]], names[p[1]])):
             lines.append(f"  {names[lo]} -> {names[hi]};")
         lines.append("}")

@@ -15,11 +15,18 @@ along a given genset, and only steps whose result stays inside.
 ``is_tight`` asks whether the step order is exactly inverse dominance on
 the orbit; ``tight_scan`` sweeps all staircase shapes for one degree and
 compares against the closed-form rule.
+
+Internally a weight is first scaled to integers by the lcm of its
+denominators.  A positive scaling keeps both the step order and
+dominance, so orbits, reachability masks and prefix sums all run on
+plain int tuples; values map back to the caller's ``Fraction`` entries
+only for what the public functions return.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -96,9 +103,56 @@ def stabilizer_genset(theta: Sequence) -> GenSet:
     return frozenset(i for i in range(1, len(t)) if t[i - 1] == t[i])
 
 
+def _rearrangements(values: Sequence, gens: Iterable[int] = ()) -> list[tuple]:
+    """Distinct rearrangements of values, in increasing lexicographic order.
+
+    Only those weakly decreasing across every index in the genset are
+    kept.  Both rules prune the growing prefix, so the work follows the
+    number of results rather than m!.
+
+    >>> _rearrangements((1, 0, 0))
+    [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    >>> _rearrangements((1, 0, 0), {1})
+    [(0, 0, 1), (1, 0, 0)]
+    """
+    distinct = sorted(set(values))
+    counts = [0] * len(distinct)
+    for x in values:
+        counts[distinct.index(x)] += 1
+    gens = set(gens)
+    tied = [i in gens for i in range(len(values))]
+    out: list[tuple] = []
+    prefix: list = []
+
+    def extend(pos: int, last: int) -> None:
+        if pos == len(values):
+            out.append(tuple(prefix))
+            return
+        for k in range(last + 1 if tied[pos] else len(distinct)):
+            if counts[k]:
+                counts[k] -= 1
+                prefix.append(distinct[k])
+                extend(pos + 1, k)
+                prefix.pop()
+                counts[k] += 1
+
+    extend(0, len(distinct) - 1)
+    return out
+
+
 def orbit(theta: Sequence) -> frozenset[Weight]:
     """All distinct rearrangements."""
-    return frozenset(itertools.permutations(check_weight(theta)))
+    return frozenset(_rearrangements(check_weight(theta)))
+
+
+def orbit_size(theta: Sequence) -> int:
+    """Number of distinct rearrangements: a multinomial coefficient.
+
+    >>> orbit_size([2, 1, 1, 0])
+    12
+    """
+    t = check_weight(theta)
+    return math.factorial(len(t)) // math.prod(math.factorial(t.count(x)) for x in set(t))
 
 
 def respects(mu: Weight, gens: Iterable[int]) -> bool:
@@ -121,7 +175,7 @@ def dominant_shape(degree: int, jc: Iterable[int]) -> Weight:
     return tuple(Fraction(sum(1 for j in jcs if j >= i)) for i in range(1, degree + 1))
 
 
-def _step_targets(mu: Weight) -> list[Weight]:
+def _step_targets(mu: tuple) -> list[tuple]:
     """One upward step: swap any strictly descending pair of entries."""
     out = []
     m = len(mu)
@@ -134,37 +188,102 @@ def _step_targets(mu: Weight) -> list[Weight]:
     return out
 
 
-def _closure(theta: Weight, gens: GenSet | None) -> tuple[tuple[Weight, ...], dict[Weight, int], list[int]]:
-    """Members of the (restricted) orbit and upward reachability masks.
+#: The most members an orbit may have.  Reachability and dominance masks
+#: take members² bits each; 7! members, the generic orbit at degree 7,
+#: take about 4 s and 66 MiB, while 8! would need gigabytes.
+ORBIT_MEMBER_CAP = math.factorial(7)
 
+
+def _member_bound(theta: Sequence, gens: Iterable[int]) -> int:
+    """An upper bound on the members of a restricted orbit.
+
+    A member is fixed by which entries fill each block of positions the
+    genset joins, so there are at most degree! / prod(block size!) of
+    them, and at most the orbit size; the bound is exact for distinct
+    entries.
+
+    >>> _member_bound((3, 2, 1, 0), {1, 3}), _member_bound((1, 1, 0, 0), ())
+    (6, 6)
+    """
+    gens = set(gens)
+    blocks = [1]
+    for i in range(1, len(theta)):
+        if i in gens:
+            blocks[-1] += 1
+        else:
+            blocks.append(1)
+    by_blocks = math.factorial(len(theta)) // math.prod(map(math.factorial, blocks))
+    return min(orbit_size(theta), by_blocks)
+
+
+def _check_members(bound: int) -> None:
+    if bound > ORBIT_MEMBER_CAP:
+        raise CapExceeded(
+            f"an orbit of up to {bound} members exceeds the member cap {ORBIT_MEMBER_CAP}"
+        )
+
+
+def _integral(theta: Sequence) -> tuple[int, ...]:
+    """theta times the lcm of its denominators.
+
+    >>> _integral(check_weight(["3/2", 1, "-1/3"]))
+    (9, 6, -2)
+    """
+    scale = math.lcm(*(x.denominator for x in theta))
+    return tuple(x.numerator * (scale // x.denominator) for x in theta)
+
+
+def _as_weight(mu: tuple[int, ...], back: dict[int, Fraction]) -> Weight:
+    return tuple(back[x] for x in mu)
+
+
+def _closure(
+    theta: tuple[int, ...], gens: GenSet | None
+) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int], tuple[int, ...]]:
+    """Members of the (restricted) orbit of an integer weight, and reachability.
+
+    Members come in increasing lexicographic order, so theta is last.
     Bit j of ``up[i]`` is set when member j is reachable from member i
     by steps staying inside the member set.  Steps strictly drop in the
-    lexicographic order, so the reverse-sorted member list is already
-    topological and one backward pass closes the relation.
+    lexicographic order, so one forward pass closes the relation.
+    Refuses up front when the orbit could exceed ``ORBIT_MEMBER_CAP``.
     """
-    if gens is None:
-        members = sorted(orbit(theta), reverse=True)
-    else:
-        members = sorted((mu for mu in orbit(theta) if respects(mu, gens)), reverse=True)
+    _check_members(_member_bound(theta, gens or ()))
+    members = tuple(_rearrangements(theta, gens or ()))
     index = {mu: i for i, mu in enumerate(members)}
-    n = len(members)
-    adj = [0] * n
+    up: list[int] = []
     for mu in members:
-        i = index[mu]
+        mask = 1 << len(up)
         for nu in _step_targets(mu):
             j = index.get(nu)
             if j is not None:
-                adj[i] |= 1 << j
-    up = [0] * n
-    for i in range(n - 1, -1, -1):
-        mask = 1 << i
-        m = adj[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            mask |= up[j]
-        up[i] = mask
-    return tuple(members), index, up
+                mask |= up[j]
+        up.append(mask)
+    return members, index, tuple(up)
+
+
+def _dominated_masks(members: Sequence[tuple[int, ...]]) -> list[int]:
+    """Bit j of mask i is set when members[i] dominates members[j].
+
+    One cumulative mask "prefix_k <= v" per coordinate k and value v;
+    member i's mask is the AND over k of the masks at its own prefixes.
+    Members share their coordinate sum, so the last prefix is skipped.
+    """
+    n = len(members)
+    prefixes = [tuple(itertools.accumulate(mu)) for mu in members]
+    dom = [(1 << n) - 1] * n
+    for k in range(len(members[0]) - 1):
+        column = [p[k] for p in prefixes]
+        at_most: dict[int, int] = {}
+        for j, v in enumerate(column):
+            at_most[v] = at_most.get(v, 0) | (1 << j)
+        acc = 0
+        for v in sorted(at_most):
+            acc |= at_most[v]
+            at_most[v] = acc
+        for i, v in enumerate(column):
+            dom[i] &= at_most[v]
+    return dom
 
 
 def step_leq(nu: Weight, mu: Weight, restriction: GenSet | None = None) -> bool:
@@ -175,10 +294,14 @@ def step_leq(nu: Weight, mu: Weight, restriction: GenSet | None = None) -> bool:
         return False
     theta = tuple(sorted(mu, reverse=True))
     gens = None if restriction is None else check_genset(restriction, len(mu))
-    members, index, up = _closure(theta, gens)
-    if mu not in index or nu not in index:
+    ints = _integral(check_weight(theta))
+    to_int = dict(zip(theta, ints))
+    _, index, up = _closure(ints, gens)
+    i = index.get(tuple(to_int[x] for x in nu))
+    j = index.get(tuple(to_int[x] for x in mu))
+    if i is None or j is None:
         return False
-    return bool(up[index[nu]] & (1 << index[mu]))
+    return bool(up[i] >> j & 1)
 
 
 def dominance_leq(nu: Weight, mu: Weight) -> bool:
@@ -217,12 +340,11 @@ def orbit_poset(theta: Sequence, restriction: GenSet | None = None) -> OrbitPose
     """Build the step order on the (restricted) orbit of a dominant weight."""
     t = check_dominant(theta)
     gens = None if restriction is None else check_genset(restriction, len(t))
-    members, index, up = _closure(t, gens)
-
-    def rel(a: Weight, b: Weight) -> bool:
-        return bool(up[index[a]] & (1 << index[b]))
-
-    return OrbitPoset(t, gens, members, FinitePoset.from_relation(members, rel))
+    ints = _integral(t)
+    members, _, up = _closure(ints, gens)
+    back = dict(zip(ints, t))
+    elements = [_as_weight(mu, back) for mu in members]
+    return OrbitPoset(t, gens, tuple(reversed(elements)), FinitePoset.from_up_masks(elements, up))
 
 
 def is_tight(theta: Sequence, restriction: GenSet | None = None) -> tuple[bool, tuple[Weight, Weight] | None]:
@@ -232,21 +354,25 @@ def is_tight(theta: Sequence, restriction: GenSet | None = None) -> tuple[bool, 
     standing invariant, not a tightness question, so its failure is an
     internal error.  The converse can genuinely fail; the first pair
     (mu, nu) with nu dominated by mu yet mu not below nu in the step
-    order is returned as the witness.
+    order is returned as the witness, scanning mu and then nu from
+    theta downward in the lexicographic order.
     """
     t = check_dominant(theta)
     gens = None if restriction is None else check_genset(restriction, len(t))
-    members, index, up = _closure(t, gens)
-    for mu in members:
-        for nu in members:
-            climbs = bool(up[index[mu]] & (1 << index[nu]))
-            dominated = dominance_leq(nu, mu)
-            if climbs and not dominated:
+    ints = _integral(t)
+    members, _, up = _closure(ints, gens)
+    dom = _dominated_masks(members)
+    for i in range(len(members) - 1, -1, -1):
+        mismatch = up[i] ^ dom[i]
+        if mismatch:
+            j = mismatch.bit_length() - 1
+            back = dict(zip(ints, t))
+            mu, nu = _as_weight(members[i], back), _as_weight(members[j], back)
+            if up[i] >> j & 1:
                 raise RuntimeError(
                     f"step order escaped dominance: {mu} climbs to {nu}; this is a bug"
                 )
-            if dominated and not climbs:
-                return False, (mu, nu)
+            return False, (mu, nu)
     return True, None
 
 
@@ -329,16 +455,22 @@ class TightScanReport:
         return "\n".join(lines) + "\n"
 
 
-def tight_scan(degree: int, cap: int = 6) -> TightScanReport:
+#: The default degree cap of ``tight_scan``.
+TIGHT_SCAN_CAP = 6
+
+
+def tight_scan(degree: int, cap: int = TIGHT_SCAN_CAP) -> TightScanReport:
     """Compare tightness with the rule for every descent pattern at one degree.
 
     One staircase per descent set; the busiest orbit is the whole group,
-    so the degree is capped harder than elsewhere.
+    so the degree is capped harder than elsewhere, and a degree whose
+    whole group exceeds ``ORBIT_MEMBER_CAP`` is refused before any row.
     """
     if degree > cap:
         raise CapExceeded(f"degree {degree} exceeds the tight-scan cap {cap}")
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
+    _check_members(math.factorial(degree))
     rows = []
     indices = range(1, degree)
     for r in range(0, degree):
@@ -349,7 +481,7 @@ def tight_scan(degree: int, cap: int = 6) -> TightScanReport:
                 TightRow(
                     j_complement=jc,
                     theta=theta,
-                    orbit_size=len(orbit(theta)),
+                    orbit_size=orbit_size(theta),
                     tight=tight,
                     rule_tight=rule_predicts_tight(degree, jc),
                     witness=witness,

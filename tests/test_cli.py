@@ -96,6 +96,41 @@ def test_orbit_formats(capsys):
     assert out.count("->") == 4
 
 
+def test_tight_honours_the_degree_cap(capsys, monkeypatch):
+    monkeypatch.delenv(ENV_DEGREE_CAP, raising=False)
+    code, _, err = run(capsys, "tight", "--degree", "7")
+    assert code == 2
+    assert "cap" in err
+    code, out, err = run(capsys, "tight", "--degree", "7", "--degree-cap", "7")
+    assert code == 0, err
+    assert "shapes=64" in out and "all_match=True" in out
+    monkeypatch.setenv(ENV_DEGREE_CAP, "4")
+    code, _, err = run(capsys, "tight", "--degree", "5")
+    assert code == 2
+    assert "cap 4" in err
+
+
+def test_orbit_honours_the_degree_cap(capsys, monkeypatch):
+    monkeypatch.delenv(ENV_DEGREE_CAP, raising=False)
+    theta = ",".join(["1"] + ["0"] * 8)
+    code, _, err = run(capsys, "orbit", "--theta", theta)
+    assert code == 2
+    assert "cap" in err
+    code, out, err = run(capsys, "orbit", "--theta", theta, "--degree-cap", "9")
+    assert code == 0, err
+    assert "members 9" in out
+
+
+def test_orbit_size_is_refused_whatever_the_degree_cap(capsys, monkeypatch):
+    monkeypatch.setenv(ENV_DEGREE_CAP, "9")
+    code, _, err = run(capsys, "tight", "--degree", "9")
+    assert code == 2
+    assert "member cap" in err
+    code, _, err = run(capsys, "orbit", "--theta", "8,7,6,5,4,3,2,1,0")
+    assert code == 2
+    assert "member cap" in err
+
+
 def test_orbit_rejects_non_dominant(capsys):
     code, _, err = run(capsys, "orbit", "--theta", "0,1")
     assert code == 2

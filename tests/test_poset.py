@@ -16,6 +16,7 @@ from dcbruhat.poset import (
     ShapeClass,
     are_isomorphic,
     classify_shape,
+    hasse_reduction,
     shape_template,
 )
 
@@ -93,6 +94,83 @@ def test_from_relation_rejects_non_order():
         FinitePoset.from_relation([0, 1], lambda a, b: True)
 
 
+def cubic_covers(elts, relation):
+    """The original cubic cover search: j covers i when no k sits strictly between."""
+    n = len(elts)
+    covers = set()
+    for i in range(n):
+        for j in range(n):
+            if i != j and relation(elts[i], elts[j]) and not any(
+                k != i and k != j and relation(elts[i], elts[k]) and relation(elts[k], elts[j])
+                for k in range(n)
+            ):
+                covers.add((elts[i], elts[j]))
+    return covers
+
+
+@pytest.mark.parametrize("limit", [1, 7, 12, 30, 36, 60, 64, 72, 210])
+def test_mask_reduction_matches_cubic_loop_on_divisibility(limit):
+    nums = [d for d in range(1, limit + 1) if limit % d == 0]
+    divides = lambda a, b: b % a == 0  # noqa: E731
+    assert set(divisibility(limit).covers) == cubic_covers(nums, divides)
+
+
+@st.composite
+def dag_closures(draw):
+    """Reachability of a random DAG on 0..n-1 whose edges run upward."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    up = [1 << i for i in range(n)]
+    for i in range(n - 1, -1, -1):
+        for a, b in edges:
+            if a == i:
+                up[i] |= up[b]
+    order = draw(st.permutations(list(range(n))))
+    return up, order
+
+
+@given(dag_closures())
+def test_mask_reduction_matches_cubic_loop_on_random_dags(closure):
+    up, order = closure
+    elts = [f"e{order[i]:02d}" for i in range(len(up))]
+    position = {x: i for i, x in enumerate(elts)}
+
+    def relation(a, b):
+        return bool(up[position[a]] >> position[b] & 1)
+
+    p = FinitePoset.from_relation(elts, relation)
+    assert set(p.covers) == cubic_covers(elts, relation)
+    assert p.elements == tuple(sorted(elts))
+    q = FinitePoset.from_up_masks(elts, up)
+    assert q.elements == tuple(elts)
+    assert set(q.covers) == set(p.covers)
+    for i, x in enumerate(elts):
+        for j, y in enumerate(elts):
+            assert q.leq(x, y) == relation(x, y)
+
+
+def test_hasse_reduction_drops_implied_pairs():
+    # 0 < 1 < 2 and 0 < 2: only the two short covers remain
+    assert hasse_reduction([0b111, 0b110, 0b100]) == [0b010, 0b100, 0]
+    assert hasse_reduction([0b1]) == [0]
+    with pytest.raises(NotAPartialOrder, match="transitive"):
+        hasse_reduction([0b011, 0b110, 0b100])
+
+
+def test_from_up_masks_checks_the_axioms():
+    with pytest.raises(NotAPartialOrder, match="reflexive"):
+        FinitePoset.from_up_masks(["a", "b"], [0b10, 0b10])
+    with pytest.raises(NotAPartialOrder, match="antisymmetric"):
+        FinitePoset.from_up_masks(["a", "b"], [0b11, 0b11])
+    with pytest.raises(NotAPartialOrder, match="transitive"):
+        FinitePoset.from_up_masks(["a", "b", "c"], [0b011, 0b110, 0b100])
+    with pytest.raises(NotAPartialOrder, match="duplicate"):
+        FinitePoset.from_up_masks(["a", "a"], [0b01, 0b10])
+    with pytest.raises(ValueError):
+        FinitePoset.from_up_masks(["a", "b"], [0b01])
+
+
 def test_extremes_need_uniqueness():
     fork = FinitePoset(["a", "b", "c"], [("a", "b"), ("a", "c")])
     assert fork.bottom() == "a"
@@ -125,6 +203,21 @@ def test_is_lattice_with_witness():
 def test_dot_goldens():
     assert FinitePoset(["a"], []).to_dot() == POINT_DOT
     assert FinitePoset(["a", "b"], [("a", "b")]).to_dot() == CHAIN_DOT
+
+
+def test_dot_golden_with_shared_levels():
+    assert divisibility(12).to_dot() == (
+        "digraph hasse {\n"
+        "  rankdir=BT;\n"
+        "  node [shape=plaintext];\n"
+        + "".join(f'  n{k} [label="{d}"];\n' for k, d in enumerate([1, 2, 3, 4, 6, 12]))
+        + "  { rank=same; n0; }\n"
+        "  { rank=same; n1; n2; }\n"
+        "  { rank=same; n3; n4; }\n"
+        "  { rank=same; n5; }\n"
+        + "".join(f"  n{a} -> n{b};\n" for a, b in [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (3, 5), (4, 5)])
+        + "}\n"
+    )
 
 
 def test_json_golden():

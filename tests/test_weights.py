@@ -1,5 +1,6 @@
 """Weight orbits: two orders on one orbit and when they coincide."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dcbruhat import weights
+from dcbruhat.poset import FinitePoset
 from dcbruhat.symgroup import CapExceeded, compose, full_genset
 from dcbruhat.weights import (
     apply_perm,
@@ -17,6 +20,7 @@ from dcbruhat.weights import (
     is_tight,
     orbit,
     orbit_poset,
+    orbit_size,
     parse_weight,
     respects,
     rule_predicts_tight,
@@ -180,3 +184,144 @@ def test_tight_scan_json():
 def test_tight_scan_refuses_large_degrees():
     with pytest.raises(CapExceeded):
         tight_scan(7)
+
+
+# --- the original Fraction code, kept as the oracle of the integer path -----
+
+
+def fraction_closure(theta, gens):
+    """Members in decreasing order, their index, and reachability masks."""
+    members = sorted(
+        (mu for mu in set(itertools.permutations(theta)) if gens is None or respects(mu, gens)),
+        reverse=True,
+    )
+    index = {mu: i for i, mu in enumerate(members)}
+    adj = [0] * len(members)
+    for i, mu in enumerate(members):
+        for a, b in itertools.combinations(range(len(mu)), 2):
+            if mu[a] > mu[b]:
+                nu = list(mu)
+                nu[a], nu[b] = nu[b], nu[a]
+                j = index.get(tuple(nu))
+                if j is not None:
+                    adj[i] |= 1 << j
+    up = [0] * len(members)
+    for i in range(len(members) - 1, -1, -1):
+        up[i] = 1 << i
+        for j in range(len(members)):
+            if adj[i] >> j & 1:
+                up[i] |= up[j]
+    return members, index, up
+
+
+def fraction_is_tight(theta, gens):
+    members, index, up = fraction_closure(theta, gens)
+    for mu in members:
+        for nu in members:
+            climbs = bool(up[index[mu]] >> index[nu] & 1)
+            dominated = dominance_leq(nu, mu)
+            assert dominated or not climbs
+            if dominated and not climbs:
+                return False, (mu, nu)
+    return True, None
+
+
+def fraction_orbit_poset(theta, gens):
+    members, index, up = fraction_closure(theta, gens)
+    poset = FinitePoset.from_relation(members, lambda a, b: bool(up[index[a]] >> index[b] & 1))
+    return tuple(members), poset
+
+
+ORACLE_VALUES = (Fraction(2), Fraction(1, 2), Fraction(0), Fraction(-1))
+
+
+def dominant_weights(values, degree):
+    return [W(*t) for t in itertools.combinations_with_replacement(sorted(values, reverse=True), degree)]
+
+
+def restrictions(degree):
+    idx = range(1, degree)
+    return [None] + [frozenset(c) for r in range(degree) for c in itertools.combinations(idx, r)]
+
+
+def assert_matches_fraction_code(degrees):
+    for degree in degrees:
+        for theta in dominant_weights(ORACLE_VALUES, degree):
+            for gens in restrictions(degree):
+                assert is_tight(theta, gens) == fraction_is_tight(theta, gens), (theta, gens)
+                members, poset = fraction_orbit_poset(theta, gens)
+                built = orbit_poset(theta, gens)
+                assert built.members == members
+                assert built.poset.elements == poset.elements
+                assert set(built.poset.covers) == set(poset.covers)
+
+
+def test_integer_path_matches_fraction_code_up_to_degree_4():
+    assert_matches_fraction_code((1, 2, 3, 4))
+
+
+@pytest.mark.slow
+def test_integer_path_matches_fraction_code_at_degree_5():
+    assert_matches_fraction_code((5,))
+
+
+def test_witness_is_the_nested_loops_first_pair():
+    theta = W(Fraction(5, 2), 1, 1, 0, Fraction(-1, 3))
+    ok, witness = is_tight(theta)
+    assert not ok
+    assert witness == fraction_is_tight(theta, None)[1]
+
+
+def test_climb_outside_dominance_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(weights, "_dominated_masks", lambda members: [1 << i for i in range(len(members))])
+    with pytest.raises(RuntimeError, match="escaped dominance"):
+        is_tight(W(1, 0, 0))
+
+
+def test_orbit_poset_keeps_fraction_values():
+    theta = W(Fraction(3, 2), Fraction(1, 3), Fraction(1, 3), -2)
+    built = orbit_poset(theta)
+    assert built.members[0] == theta
+    assert all(isinstance(x, Fraction) for mu in built.members for x in mu)
+    assert set(built.members) == orbit(theta)
+    assert len(built.members) == orbit_size(theta) == 12
+
+
+def test_orbit_lists_distinct_rearrangements():
+    for theta in (W(3, 1, 1, 0), W(0, 0, 0), W(Fraction(1, 2), -1), W(2, 2, 1, 1, 0)):
+        assert orbit(theta) == frozenset(itertools.permutations(theta))
+        assert orbit_size(theta) == len(orbit(theta))
+
+
+def test_member_bound_covers_every_restricted_orbit():
+    for degree in range(1, 6):
+        thetas = {tuple(sorted(v, reverse=True)) for v in itertools.product((2, 1, 0), repeat=degree)}
+        distinct = tuple(range(degree - 1, -1, -1))
+        for r in range(degree):
+            for gens in itertools.combinations(range(1, degree), r):
+                for theta in thetas:
+                    count = len(weights._rearrangements(theta, gens))
+                    assert weights._member_bound(theta, gens) >= count, (theta, gens)
+                exact = len(weights._rearrangements(distinct, gens))
+                assert weights._member_bound(distinct, gens) == exact, gens
+
+
+def test_orbits_beyond_the_member_cap_are_refused():
+    generic = W(*range(7, -1, -1))
+    with pytest.raises(CapExceeded, match="member cap"):
+        is_tight(generic)
+    with pytest.raises(CapExceeded, match="member cap"):
+        orbit_poset(generic)
+    with pytest.raises(CapExceeded, match="member cap"):
+        step_leq(generic, generic)
+    with pytest.raises(CapExceeded, match="member cap"):
+        tight_scan(8, cap=8)
+    # Pairs of adjacent positions tie up: 8!/2^4 = 2520 members fit.
+    assert weights._member_bound(weights._integral(generic), {1, 3, 5, 7}) == 2520
+
+
+def test_step_leq_takes_plain_numbers():
+    assert step_leq((1, 0, 0), (0, 0, 1))
+    assert step_leq(W(Fraction(1, 2), 0), (0, 0.5))
+    assert not step_leq(W(1, 0, 0), W(0, 1, 0), frozenset({1}))
+    assert not step_leq(W(1, 0), W(1, 1))
