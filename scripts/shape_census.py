@@ -10,7 +10,7 @@ import argparse
 from collections import Counter, defaultdict
 
 from dcbruhat.poset import classify_shape
-from dcbruhat.spherical import build_xplus_poset, matches_family, spherical_pairs
+from dcbruhat.spherical import build_xplus_poset, shape_in_family, spherical_pairs
 
 
 def main() -> int:
@@ -30,7 +30,7 @@ def main() -> int:
             shape = classify_shape(p)
             counts[str(shape)] += 1
             tallest[str(shape)] = max(tallest[str(shape)], p.height())
-            if not matches_family(p, case.predicted_shape):
+            if not shape_in_family(shape, case.predicted_shape):
                 mismatches.append((case.key(), case.tag, str(shape)))
         print(f"degree {degree}: {sum(counts.values())} pairs")
         for name in sorted(counts):

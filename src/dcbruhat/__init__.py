@@ -17,6 +17,7 @@ from .poset import FinitePoset, ShapeClass, are_isomorphic, classify_shape, shap
 from .spherical import (
     SphericalCase,
     VerificationReport,
+    build_xplus_poset,
     predicted_bottom,
     spherical_pairs,
     verify_theorem,
@@ -42,6 +43,7 @@ __all__ = [
     "VerificationReport",
     "all_permutations",
     "are_isomorphic",
+    "build_xplus_poset",
     "classify_shape",
     "compose",
     "coset_of",

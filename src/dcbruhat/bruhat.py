@@ -29,7 +29,6 @@ from .symgroup import (
 DEFAULT_WORD_CAP = 28
 
 
-@lru_cache(maxsize=1 << 20)
 def leq(u: Perm, v: Perm) -> bool:
     """Whether u is below v in strong order.
 
@@ -196,12 +195,7 @@ def covers(v: Perm, universe: frozenset[Perm] | None = None) -> frozenset[Perm]:
         return _transposition_covers(v)
     if v not in universe:
         raise ValueError(f"{v} is not in the given universe")
-    above = [w for w in universe if w != v and leq(v, w)]
-    return frozenset(
-        w
-        for w in above
-        if not any(u != w and leq(u, w) for u in above)
-    )
+    return frozenset(FinitePoset.from_relation(universe, leq).upper_covers(v))
 
 
 def interval(u: Perm, v: Perm) -> FinitePoset:

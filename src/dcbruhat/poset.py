@@ -6,15 +6,16 @@ A ``FinitePoset`` is immutable once built.  The constructor takes the
 covering relation and validates it outright (acyclic, transitively
 reduced); ``from_relation`` builds the covers from a raw comparison
 instead, and ``from_up_masks`` from a relation already held as bitmasks;
-both reduce through ``hasse_reduction``.  Reachability is kept as
-per-element bitmasks over the element list, which makes ``leq``, height
-and the lattice check cheap at the sizes we care about (a few thousand
-elements at most).
+both reduce through ``hasse_reduction``.  Covers and reachability are
+kept as per-element bitmasks over element indices, so an element is
+hashed once, into the index lookup, and ``leq``, height, the lattice
+check and the exports stay cheap at the sizes we care about (a few
+thousand elements at most).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import networkx as nx
 
@@ -48,47 +49,60 @@ def hasse_reduction(up: Sequence[int]) -> list[int]:
     return out
 
 
-class FinitePoset:
-    """A finite poset, stored as elements plus covering pairs."""
+def _indexed(elements: Iterable[Hashable]) -> tuple[tuple, dict]:
+    """The elements as a tuple and their index lookup, hashing each once."""
+    elts = tuple(elements)
+    index = {x: i for i, x in enumerate(elts)}
+    if len(index) != len(elts):
+        raise NotAPartialOrder("duplicate elements")
+    return elts, index
 
-    __slots__ = ("elements", "covers", "_index", "_adj", "_radj", "_topo", "_up", "_down", "_level")
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Every (i, j) with bit j set in ``masks[i]``, in ascending order."""
+    return ((i, j) for i, m in enumerate(masks) for j in _bits(m))
+
+
+class FinitePoset:
+    """A finite poset, stored as elements plus cover bitmasks over their indices."""
+
+    __slots__ = ("elements", "_index", "_adj", "_radj", "_up", "_down", "_level")
 
     def __init__(self, elements: Sequence[Hashable], covers: Iterable[tuple[Hashable, Hashable]]):
-        elts = tuple(elements)
-        if len(set(elts)) != len(elts):
-            raise NotAPartialOrder("duplicate elements")
-        index = {x: i for i, x in enumerate(elts)}
-        n = len(elts)
-        cover_pairs = []
-        adj = [0] * n
-        radj = [0] * n
-        index_pairs = []
-        seen = set()
+        elts, index = _indexed(elements)
+        adj = [0] * len(elts)
         for lo, hi in covers:
             i, j = index.get(lo), index.get(hi)
             if i is None or j is None:
                 raise NotAPartialOrder(f"cover endpoint not an element: {(lo, hi)!r}")
             if i == j:
                 raise NotAPartialOrder(f"self-cover at {lo!r}")
-            if (i, j) in seen:
-                continue
-            seen.add((i, j))
-            cover_pairs.append((lo, hi))
-            index_pairs.append((i, j))
             adj[i] |= 1 << j
+        self._build(elts, index, adj)
+
+    def _build(self, elts: tuple, index: dict, adj: list[int]) -> None:
+        """Check cover masks for cycles and implied covers, then fill every field."""
+        n = len(elts)
+        radj = [0] * n
+        for i, j in _pairs(adj):
             radj[j] |= 1 << i
 
         # Kahn's algorithm; a leftover node means a cycle.
-        indeg = [bin(radj[i]).count("1") for i in range(n)]
+        indeg = [bin(m).count("1") for m in radj]
         queue = [i for i in range(n) if indeg[i] == 0]
         topo: list[int] = []
         while queue:
             i = queue.pop()
             topo.append(i)
-            mask = adj[i]
-            while mask:
-                j = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
+            for j in _bits(adj[i]):
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     queue.append(j)
@@ -98,43 +112,31 @@ class FinitePoset:
         up = [0] * n
         for i in reversed(topo):
             mask = 1 << i
-            m = adj[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
+            for j in _bits(adj[i]):
                 mask |= up[j]
             up[i] = mask
         down = [0] * n
         for i in topo:
             mask = 1 << i
-            m = radj[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
+            for j in _bits(radj[i]):
                 mask |= down[j]
             down[i] = mask
 
         # Transitive reducedness: no cover may also be reachable through
         # an intermediate element.
-        for (lo, hi), (i, j) in zip(cover_pairs, index_pairs):
-            between = up[i] & down[j] & ~(1 << i) & ~(1 << j)
-            if between:
-                raise NotAPartialOrder(f"cover {(lo, hi)!r} is implied by shorter covers")
+        for i, j in _pairs(adj):
+            if up[i] & down[j] & ~(1 << i) & ~(1 << j):
+                raise NotAPartialOrder(f"cover {(elts[i], elts[j])!r} is implied by shorter covers")
 
         level = [0] * n
         for i in topo:
-            m = adj[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
+            for j in _bits(adj[i]):
                 level[j] = max(level[j], level[i] + 1)
 
         self.elements = elts
-        self.covers = tuple(cover_pairs)
         self._index = index
         self._adj = adj
         self._radj = radj
-        self._topo = topo
         self._up = up
         self._down = down
         self._level = level
@@ -170,10 +172,8 @@ class FinitePoset:
         Bit j of ``up[i]`` says ``elements[i] <= elements[j]``.  Elements
         keep the given order.
         """
-        elts = tuple(elements)
+        elts, index = _indexed(elements)
         n = len(elts)
-        if len(set(elts)) != n:
-            raise NotAPartialOrder("duplicate elements")
         if len(up) != n:
             raise ValueError(f"{len(up)} masks for {n} elements")
         for i in range(n):
@@ -187,13 +187,15 @@ class FinitePoset:
             i = first.setdefault(mask, j)
             if i != j:
                 raise NotAPartialOrder(f"relation is not antisymmetric on {elts[i]!r}, {elts[j]!r}")
-        covers = []
-        for i, m in enumerate(cover_masks):
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                covers.append((elts[i], elts[j]))
-        return cls(elts, covers)
+        poset = cls.__new__(cls)
+        poset._build(elts, index, cover_masks)
+        return poset
+
+    @property
+    def covers(self) -> tuple[tuple[Hashable, Hashable], ...]:
+        """Covering pairs (lower, upper) of elements."""
+        e = self.elements
+        return tuple((e[i], e[j]) for i, j in _pairs(self._adj))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -204,13 +206,14 @@ class FinitePoset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinitePoset):
             return NotImplemented
-        return self.elements == other.elements and set(self.covers) == set(other.covers)
+        return self.elements == other.elements and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.elements, frozenset(self.covers)))
+        return hash((self.elements, tuple(self._adj)))
 
     def __repr__(self) -> str:
-        return f"FinitePoset({len(self.elements)} elements, {len(self.covers)} covers)"
+        n_covers = sum(bin(m).count("1") for m in self._adj)
+        return f"FinitePoset({len(self.elements)} elements, {n_covers} covers)"
 
     def leq(self, x: Hashable, y: Hashable) -> bool:
         return bool(self._up[self._index[x]] & (1 << self._index[y]))
@@ -219,22 +222,10 @@ class FinitePoset:
         return x != y and self.leq(x, y)
 
     def upper_covers(self, x: Hashable) -> list[Hashable]:
-        out = []
-        m = self._adj[self._index[x]]
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            out.append(self.elements[j])
-        return out
+        return [self.elements[j] for j in _bits(self._adj[self._index[x]])]
 
     def lower_covers(self, x: Hashable) -> list[Hashable]:
-        out = []
-        m = self._radj[self._index[x]]
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            out.append(self.elements[j])
-        return out
+        return [self.elements[j] for j in _bits(self._radj[self._index[x]])]
 
     def minimal_elements(self) -> list[Hashable]:
         return [x for i, x in enumerate(self.elements) if not self._radj[i]]
@@ -274,20 +265,14 @@ class FinitePoset:
             for j in range(i + 1, n):
                 common_up = self._up[i] & self._up[j]
                 minimal = 0
-                m = common_up
-                while m:
-                    k = (m & -m).bit_length() - 1
-                    m &= m - 1
+                for k in _bits(common_up):
                     if not (self._down[k] & common_up & ~(1 << k)):
                         minimal |= 1 << k
                 if bin(minimal).count("1") != 1:
                     return False, (self.elements[i], self.elements[j])
                 common_down = self._down[i] & self._down[j]
                 maximal = 0
-                m = common_down
-                while m:
-                    k = (m & -m).bit_length() - 1
-                    m &= m - 1
+                for k in _bits(common_down):
                     if not (self._up[k] & common_down & ~(1 << k)):
                         maximal |= 1 << k
                 if bin(maximal).count("1") != 1:
@@ -297,28 +282,30 @@ class FinitePoset:
     def to_dot(self, label: Callable[[Hashable], str] = str) -> str:
         """Graphviz source for the Hasse diagram, bottom to top."""
         lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=plaintext];"]
-        nodes = sorted((self._level[i], label(x), x) for i, x in enumerate(self.elements))
-        names = {}
+        texts = [label(x) for x in self.elements]
+        order = sorted(
+            range(len(texts)), key=lambda i: (self._level[i], texts[i], self.elements[i])
+        )
+        names = [""] * len(texts)
         ranks: dict[int, list[str]] = {}
-        for k, (lvl, text, x) in enumerate(nodes):
-            names[x] = f"n{k}"
-            ranks.setdefault(lvl, []).append(f"n{k}")
-            lines.append(f'  n{k} [label="{text}"];')
+        for k, i in enumerate(order):
+            names[i] = f"n{k}"
+            ranks.setdefault(self._level[i], []).append(names[i])
+            lines.append(f'  n{k} [label="{texts[i]}"];')
         for lvl in sorted(ranks):
             lines.append("  { rank=same; " + "; ".join(ranks[lvl]) + "; }")
-        for lo, hi in sorted(self.covers, key=lambda p: (names[p[0]], names[p[1]])):
-            lines.append(f"  {names[lo]} -> {names[hi]};")
+        edges = sorted((names[i], names[j]) for i, j in _pairs(self._adj))
+        lines.extend(f"  {lo} -> {hi};" for lo, hi in edges)
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def to_json(self, label: Callable[[Hashable], str] = str) -> str:
         import json
 
-        idx = self._index
         return json.dumps(
             {
                 "elements": [label(x) for x in self.elements],
-                "covers": sorted([idx[lo], idx[hi]] for lo, hi in self.covers),
+                "covers": [[i, j] for i, j in _pairs(self._adj)],
             },
             sort_keys=True,
             indent=2,
@@ -334,8 +321,6 @@ def are_isomorphic(p: FinitePoset, q: FinitePoset, cap: int = 10000) -> bool:
         return False
     if len(p) > cap:
         raise ValueError(f"poset size {len(p)} exceeds the isomorphism cap {cap}")
-    if len(p.covers) != len(q.covers):
-        return False
 
     def profile(r: FinitePoset):
         degs = sorted(
@@ -349,10 +334,10 @@ def are_isomorphic(p: FinitePoset, q: FinitePoset, cap: int = 10000) -> bool:
         return False
     gp = nx.DiGraph()
     gp.add_nodes_from(range(len(p)))
-    gp.add_edges_from((p._index[a], p._index[b]) for a, b in p.covers)
+    gp.add_edges_from(_pairs(p._adj))
     gq = nx.DiGraph()
     gq.add_nodes_from(range(len(q)))
-    gq.add_edges_from((q._index[a], q._index[b]) for a, b in q.covers)
+    gq.add_edges_from(_pairs(q._adj))
     return nx.algorithms.isomorphism.DiGraphMatcher(gp, gq).is_isomorphic()
 
 

@@ -16,8 +16,7 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .bruhat import leq
-from .parabolic import max_representatives
+from .parabolic import decompose
 from .poset import (
     CHAIN,
     LADDER_A,
@@ -373,12 +372,15 @@ class VerificationReport:
 
 
 def build_xplus_poset(degree: int, i_complement, j_complement) -> FinitePoset:
-    """The longest-representative set under the group order."""
+    """The longest-representative set under the group order.
+
+    This is the coset table's poset: ``decompose`` already orders the
+    cosets by their longest members.
+    """
     full = full_genset(degree)
     left = full - frozenset(i_complement)
     right = full - frozenset(j_complement)
-    xplus = max_representatives(degree, left, right)
-    return FinitePoset.from_relation(xplus, leq)
+    return decompose(degree, left, right).poset()
 
 
 def verify_case(case: SphericalCase) -> CaseResult:

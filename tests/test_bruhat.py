@@ -125,6 +125,19 @@ def test_covers_inside_universe_can_jump():
         covers((1, 2, 3, 4, 5, 6), universe=universe)
 
 
+def cubic_induced_covers(v, universe):
+    """The original search: w covers v when nothing of the universe lies strictly between."""
+    above = [w for w in universe if w != v and leq(v, w)]
+    return frozenset(w for w in above if not any(u != w and leq(u, w) for u in above))
+
+
+@given(st.sets(st.sampled_from(S4), min_size=1, max_size=12))
+def test_induced_covers_match_the_cubic_search(subset):
+    universe = frozenset(subset)
+    for v in universe:
+        assert covers(v, universe) == cubic_induced_covers(v, universe)
+
+
 def test_interval_requires_comparable_endpoints():
     with pytest.raises(ValueError):
         interval((2, 1, 3), (1, 3, 2))

@@ -1,5 +1,8 @@
 """Finite poset container, exports, isomorphism, shape taxonomy."""
 
+import json
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from dcbruhat.poset import (
     hasse_reduction,
     shape_template,
 )
+from dcbruhat.weights import format_weight, orbit_poset
 
 POINT_DOT = (
     "digraph hasse {\n"
@@ -222,6 +226,62 @@ def test_dot_golden_with_shared_levels():
 
 def test_json_golden():
     assert FinitePoset(["a", "b"], [("a", "b")]).to_json() == CHAIN_JSON
+
+
+def element_keyed_dot(p, label=str):
+    """The original ``to_dot``: nodes and covers keyed by the elements themselves."""
+    lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=plaintext];"]
+    nodes = sorted((p.level_of(x), label(x), x) for x in p.elements)
+    names = {}
+    ranks = {}
+    for k, (lvl, text, x) in enumerate(nodes):
+        names[x] = f"n{k}"
+        ranks.setdefault(lvl, []).append(f"n{k}")
+        lines.append(f'  n{k} [label="{text}"];')
+    for lvl in sorted(ranks):
+        lines.append("  { rank=same; " + "; ".join(ranks[lvl]) + "; }")
+    for lo, hi in sorted(p.covers, key=lambda c: (names[c[0]], names[c[1]])):
+        lines.append(f"  {names[lo]} -> {names[hi]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def element_keyed_json(p, label=str):
+    """The original ``to_json``: cover endpoints looked up by element."""
+    idx = {x: i for i, x in enumerate(p.elements)}
+    return json.dumps(
+        {
+            "elements": [label(x) for x in p.elements],
+            "covers": sorted([idx[lo], idx[hi]] for lo, hi in p.covers),
+        },
+        sort_keys=True,
+        indent=2,
+    ) + "\n"
+
+
+@given(dag_closures())
+def test_exports_match_element_keyed_renderers(closure):
+    up, order = closure
+    p = FinitePoset.from_up_masks(order, up)
+    # Colliding labels make the DOT sort fall back to the elements.
+    for label in (str, lambda x: str(x % 3)):
+        assert p.to_dot(label) == element_keyed_dot(p, label)
+        assert p.to_json(label) == element_keyed_json(p, label)
+
+
+def test_exports_match_element_keyed_renderers_on_an_orbit():
+    theta = (Fraction(5, 2), 1, 1, Fraction(1, 2), 0)
+    p = orbit_poset(theta, frozenset({1, 3})).poset
+    assert len(p) > 10
+    for label in (str, format_weight):
+        assert p.to_dot(label) == element_keyed_dot(p, label)
+        assert p.to_json(label) == element_keyed_json(p, label)
+
+
+def test_duplicate_cover_pairs_collapse():
+    p = FinitePoset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "b")])
+    assert sorted(p.covers) == [("a", "b"), ("b", "c")]
+    assert p == FinitePoset(["a", "b", "c"], [("a", "b"), ("b", "c")])
 
 
 def test_equality_is_labeled():

@@ -1,10 +1,13 @@
 """The catalogue of spherical pairs and its structural predictions."""
 
+import itertools
 import json
 
 import pytest
 
-from dcbruhat.poset import ShapeClass, classify_shape
+from dcbruhat.bruhat import leq
+from dcbruhat.parabolic import max_representatives
+from dcbruhat.poset import FinitePoset, ShapeClass, classify_shape
 from dcbruhat.spherical import (
     NoClosedFormBottom,
     alt_bottom_length,
@@ -16,7 +19,7 @@ from dcbruhat.spherical import (
     verify_case,
     verify_theorem,
 )
-from dcbruhat.symgroup import longest_element, parse_perm
+from dcbruhat.symgroup import full_genset, longest_element, parse_perm
 
 
 def by_complements(degree):
@@ -224,3 +227,30 @@ def test_shape_in_family_agrees_with_matches_family(degree):
         poset = build_xplus_poset(degree, case.i_complement, case.j_complement)
         expected = matches_family(poset, case.predicted_shape)
         assert shape_in_family(classify_shape(poset), case.predicted_shape) == expected, case.key()
+
+
+def pairwise_xplus_poset(degree, ic, jc):
+    """X+ as first built: the longest members, compared pairwise by ``leq``."""
+    full = full_genset(degree)
+    return FinitePoset.from_relation(max_representatives(degree, full - ic, full - jc), leq)
+
+
+def assert_xplus_matches_pairwise_build(degree):
+    complements = [
+        frozenset(s) for r in range(degree) for s in itertools.combinations(range(1, degree), r)
+    ]
+    for ic, jc in itertools.product(complements, repeat=2):
+        built = build_xplus_poset(degree, ic, jc)
+        expected = pairwise_xplus_poset(degree, ic, jc)
+        assert built.elements == expected.elements, (ic, jc)
+        assert set(built.covers) == set(expected.covers), (ic, jc)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_xplus_matches_pairwise_build_on_every_pair(degree):
+    assert_xplus_matches_pairwise_build(degree)
+
+
+@pytest.mark.slow
+def test_xplus_matches_pairwise_build_on_every_pair_degree6():
+    assert_xplus_matches_pairwise_build(6)
