@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .bruhat import order_tables, rank_guard, rank_key
@@ -70,23 +70,41 @@ class CosetEntry:
 class DoubleCosetTable:
     """The full decomposition for one (degree, left, right) triple.
 
-    ``order`` holds the covering pairs of the coset order as index pairs
-    into ``entries``; entries are sorted by max representative.
+    Cosets are indexed in increasing order of their longest members,
+    ``max_reps``.  ``tables`` holds each coset's contingency table, and
+    bit j of ``cover_masks[i]`` says that coset j covers coset i.  The
+    shortest members and sizes in ``entries`` are built from the tables
+    on first read.
     """
 
     degree: int
     left_gens: GenSet
     right_gens: GenSet
-    entries: tuple[CosetEntry, ...]
-    order: tuple[tuple[int, int], ...]
+    max_reps: tuple[Perm, ...]
+    tables: tuple[tuple[tuple[int, ...], ...], ...]
+    cover_masks: tuple[int, ...]
+
+    @cached_property
+    def entries(self) -> tuple[CosetEntry, ...]:
+        """Each coset's shortest member, longest member and size, in index order."""
+        rows = _blocks(self.degree, self.left_gens)
+        cols = _blocks(self.degree, self.right_gens)
+        group_order = _factorial_product(rows) * _factorial_product(cols)
+        return tuple(
+            _coset_entry(rows, t, group_order, w) for w, t in zip(self.max_reps, self.tables)
+        )
+
+    @property
+    def order(self) -> tuple[tuple[int, int], ...]:
+        """The covering pairs as ascending index pairs (lower, upper)."""
+        from .poset import _pairs
+
+        return tuple(_pairs(self.cover_masks))
 
     def poset(self):
         from .poset import FinitePoset
 
-        return FinitePoset(
-            [e.max_rep for e in self.entries],
-            [(self.entries[i].max_rep, self.entries[j].max_rep) for i, j in self.order],
-        )
+        return FinitePoset.from_cover_masks(self.max_reps, self.cover_masks)
 
     def to_json(self) -> str:
         full = frozenset(range(1, self.degree))
@@ -171,63 +189,93 @@ def _tables(rows: tuple[int, ...], cols: tuple[int, ...]) -> Iterator[tuple[tupl
             yield (first,) + rest
 
 
-def _coset_entry(rows, table, group_order: int) -> CosetEntry:
-    """Shortest member, longest member and size of one table's coset.
+def _longest_member(rows: tuple[int, ...], table) -> Perm:
+    """The longest member of one table's coset.
 
     Entry (a, b) of the table counts the positions of right block b that
-    hold values of left block a.  The shortest member hands each left
-    block's values out in increasing order, to the right blocks from
-    left to right, and lists each right block increasing; the longest
-    hands them out in decreasing order and lists each block decreasing.
-    The coset is W_I w W_J, of size |W_I| |W_J| / |W_I cap w W_J w^-1|,
-    and that intersection is the product of the symmetric groups on the
-    table's cells.
+    hold values of left block a.  The longest member hands each left
+    block's values out in decreasing order, to the right blocks from
+    left to right, and lists each right block decreasing.
+    """
+    high = []
+    top = 0
+    for size in rows:
+        top += size
+        high.append(top)
+    longest: list[int] = []
+    upward = range(len(rows) - 1, -1, -1)
+    for column in zip(*table):
+        for a in upward:
+            m = column[a]
+            if m:
+                h = high[a]
+                longest += range(h, h - m, -1)
+                high[a] = h - m
+    return tuple(longest)
+
+
+def _coset_entry(rows: tuple[int, ...], table, group_order: int, longest: Perm) -> CosetEntry:
+    """Shortest member and size of one table's coset, next to its longest member.
+
+    The shortest member hands each left block's values out in increasing
+    order, to the right blocks from left to right, and lists each right
+    block increasing.  The coset is W_I w W_J, of size
+    |W_I| |W_J| / |W_I cap w W_J w^-1|, and that intersection is the
+    product of the symmetric groups on the table's cells.
     """
     low = []
-    high = []
     start = 0
     for size in rows:
         low.append(start + 1)
         start += size
-        high.append(start)
     shortest: list[int] = []
-    longest: list[int] = []
-    for b in range(len(table[0])):
-        for a in range(len(rows)):
-            m = table[a][b]
+    for column in zip(*table):
+        for a, m in enumerate(column):
             shortest.extend(range(low[a], low[a] + m))
             low[a] += m
-        for a in reversed(range(len(rows))):
-            m = table[a][b]
-            longest.extend(range(high[a], high[a] - m, -1))
-            high[a] -= m
     stabilizer = math.prod(math.factorial(m) for row in table for m in row)
-    return CosetEntry(tuple(shortest), tuple(longest), group_order // stabilizer)
+    return CosetEntry(tuple(shortest), longest, group_order // stabilizer)
 
 
-def double_cosets(degree: int, left_gens: GenSet, right_gens: GenSet) -> Iterator[CosetEntry]:
-    """Every double coset W_I w W_J, one per contingency table, unsorted.
+def _margins(
+    degree: int, left_gens: GenSet, right_gens: GenSet
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row and column sums of the pair's tables, refusing up front past the cap.
 
     The left genset's blocks of values give the row sums and the right
-    genset's blocks of positions the column sums.  Nothing enumerates
-    the group, so the work grows with the number of cosets; that number
-    is at most degree! / max(|W_I|, |W_J|), and the call refuses up
-    front when this bound exceeds ``COSET_CAP``.
+    genset's blocks of positions the column sums; both gensets must
+    already have passed ``check_genset``.  The number of tables is at
+    most degree! / max(|W_I|, |W_J|), and the call refuses when this
+    bound exceeds ``COSET_CAP``.
     """
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
-    rows = _blocks(degree, check_genset(left_gens, degree))
-    cols = _blocks(degree, check_genset(right_gens, degree))
-    left_order = _factorial_product(rows)
-    right_order = _factorial_product(cols)
-    bound = math.factorial(degree) // max(left_order, right_order)
+    rows = _blocks(degree, left_gens)
+    cols = _blocks(degree, right_gens)
+    bound = math.factorial(degree) // max(_factorial_product(rows), _factorial_product(cols))
     if bound > COSET_CAP:
         raise CapExceeded(
             f"degree {degree} with these gensets allows up to {bound} double cosets, "
             f"over the enumeration cap {COSET_CAP}"
         )
-    group_order = left_order * right_order
-    return (_coset_entry(rows, t, group_order) for t in _tables(rows, cols))
+    return rows, cols
+
+
+def double_cosets(degree: int, left_gens: GenSet, right_gens: GenSet) -> Iterator[CosetEntry]:
+    """Every double coset W_I w W_J, one per contingency table, unsorted.
+
+    Nothing enumerates the group, so the work grows with the number of
+    cosets; the call refuses up front when that could exceed
+    ``COSET_CAP`` (see ``_margins``).
+    """
+    rows, cols = _margins(
+        degree, check_genset(left_gens, degree), check_genset(right_gens, degree)
+    )
+    group_order = _factorial_product(rows) * _factorial_product(cols)
+    return (
+        _coset_entry(rows, t, group_order, _longest_member(rows, t))
+        for t in _tables(rows, cols)
+    )
 
 
 def min_representatives(degree: int, left_gens: GenSet, right_gens: GenSet) -> list[Perm]:
@@ -245,7 +293,10 @@ def max_representatives(degree: int, left_gens: GenSet, right_gens: GenSet) -> l
     These are the permutations whose ascents all lie inside the
     complements of the two gensets.
     """
-    return sorted(e.max_rep for e in double_cosets(degree, left_gens, right_gens))
+    rows, cols = _margins(
+        degree, check_genset(left_gens, degree), check_genset(right_gens, degree)
+    )
+    return sorted(_longest_member(rows, t) for t in _tables(rows, cols))
 
 
 def decompose(degree: int, left_gens: GenSet, right_gens: GenSet) -> DoubleCosetTable:
@@ -253,32 +304,35 @@ def decompose(degree: int, left_gens: GenSet, right_gens: GenSet) -> DoubleCoset
 
     The coset order compares longest members by their packed rank
     matrices.  A strictly smaller element of the group order is also
-    lexicographically smaller, so with entries sorted by longest member
+    lexicographically smaller, so with cosets sorted by longest member
     only pairs a < b need testing.  Scanning a's up-set in that order, b
     covers a exactly when it lies above none of a's earlier covers, and
-    a's up-set is the union of its covers' up-sets, so the entries are
-    processed from the top down.
+    a's up-set is the union of its covers' up-sets, so the cosets are
+    processed from the top down.  Only the longest members are built
+    here; ``entries`` adds the shortest members and sizes when read.
     """
     left_gens = check_genset(left_gens, degree)
     right_gens = check_genset(right_gens, degree)
-    entries = sorted(double_cosets(degree, left_gens, right_gens), key=lambda e: e.max_rep)
+    rows, cols = _margins(degree, left_gens, right_gens)
+    cosets = sorted((_longest_member(rows, t), t) for t in _tables(rows, cols))
     guard = rank_guard(degree)
-    keys = [rank_key(e.max_rep) for e in entries]
+    keys = [rank_key(w) for w, _ in cosets]
     raised = [key | guard for key in keys]
-    n = len(entries)
+    n = len(cosets)
     up = [0] * n
-    covers: list[list[int]] = [[] for _ in range(n)]
+    covers = [0] * n
     for a in reversed(range(n)):
         key = keys[a]
-        above = 0
+        above = cover = 0
         for b in range(a + 1, n):
             # rank_leq(key, keys[b], guard), inlined for the hot loop
             if not above >> b & 1 and (raised[b] - key) & guard == guard:
-                covers[a].append(b)
+                cover |= 1 << b
                 above |= up[b]
+        covers[a] = cover
         up[a] = above | 1 << a
-    order = tuple((a, b) for a in range(n) for b in covers[a])
-    return DoubleCosetTable(degree, left_gens, right_gens, tuple(entries), order)
+    max_reps, tables = zip(*cosets)
+    return DoubleCosetTable(degree, left_gens, right_gens, max_reps, tables, tuple(covers))
 
 
 def coset_members(w: Perm, left_gens: GenSet, right_gens: GenSet) -> frozenset[Perm]:

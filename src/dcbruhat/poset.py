@@ -4,17 +4,19 @@ shapes our coset posets are classified against.
 
 A ``FinitePoset`` is immutable once built.  The constructor takes the
 covering relation and validates it outright (acyclic, transitively
-reduced); ``from_relation`` builds the covers from a raw comparison
-instead, and ``from_up_masks`` from a relation already held as bitmasks;
-both reduce through ``hasse_reduction``.  Covers and reachability are
-kept as per-element bitmasks over element indices, so an element is
-hashed once, into the index lookup, and ``leq``, height, the lattice
-check and the exports stay cheap at the sizes we care about (a few
-thousand elements at most).
+reduced), and so does ``from_cover_masks`` for covers already held as
+index bitmasks; ``from_relation`` builds the covers from a raw
+comparison instead, and ``from_up_masks`` from a relation already held
+as bitmasks; both reduce through ``hasse_reduction``.  Covers and
+reachability are kept as per-element bitmasks over element indices, so
+an element is hashed once, into the index lookup, and ``leq``, height,
+the lattice check and the exports stay cheap at the sizes we care about
+(a few thousand elements at most).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import networkx as nx
@@ -191,6 +193,26 @@ class FinitePoset:
         poset._build(elts, index, cover_masks)
         return poset
 
+    @classmethod
+    def from_cover_masks(cls, elements: Sequence[Hashable], covers: Sequence[int]) -> "FinitePoset":
+        """Build from cover masks over element indices, checking them outright.
+
+        Bit j of ``covers[i]`` says ``elements[j]`` covers ``elements[i]``.
+        The masks get the same checks as the constructor's cover pairs.
+        """
+        elts, index = _indexed(elements)
+        n = len(elts)
+        if len(covers) != n:
+            raise ValueError(f"{len(covers)} masks for {n} elements")
+        for i, mask in enumerate(covers):
+            if mask >> n:
+                raise NotAPartialOrder(f"cover endpoint not an element above {elts[i]!r}")
+            if mask >> i & 1:
+                raise NotAPartialOrder(f"self-cover at {elts[i]!r}")
+        poset = cls.__new__(cls)
+        poset._build(elts, index, list(covers))
+        return poset
+
     @property
     def covers(self) -> tuple[tuple[Hashable, Hashable], ...]:
         """Covering pairs (lower, upper) of elements."""
@@ -259,23 +281,19 @@ class FinitePoset:
         return all((self._up[i] | self._down[i]) == full for i in range(n))
 
     def is_lattice(self) -> tuple[bool, tuple[Hashable, Hashable] | None]:
-        """Check unique joins and meets; returns a witness pair on failure."""
-        n = len(self.elements)
+        """Check unique joins and meets; returns a witness pair on failure.
+
+        x and y have a join exactly when their common up-set is the
+        up-set of some element (the join), and dually for meets.  Pairs
+        are scanned as (i, j) with i < j in element order, so the
+        witness is the first pair lacking a join or a meet.
+        """
+        up, down = self._up, self._down
+        ups, downs = set(up), set(down)
+        n = len(up)
         for i in range(n):
             for j in range(i + 1, n):
-                common_up = self._up[i] & self._up[j]
-                minimal = 0
-                for k in _bits(common_up):
-                    if not (self._down[k] & common_up & ~(1 << k)):
-                        minimal |= 1 << k
-                if bin(minimal).count("1") != 1:
-                    return False, (self.elements[i], self.elements[j])
-                common_down = self._down[i] & self._down[j]
-                maximal = 0
-                for k in _bits(common_down):
-                    if not (self._up[k] & common_down & ~(1 << k)):
-                        maximal |= 1 << k
-                if bin(maximal).count("1") != 1:
+                if up[i] & up[j] not in ups or down[i] & down[j] not in downs:
                     return False, (self.elements[i], self.elements[j])
         return True, None
 
@@ -370,6 +388,7 @@ class ShapeClass:
         return self.tag if self.param is None else f"{self.tag}({self.param})"
 
 
+@lru_cache(maxsize=128)
 def _ladder_template(tag: str, m: int) -> FinitePoset:
     """Two rails of m nodes with diagonals, plus the tag's own neck and crown.
 
@@ -408,8 +427,12 @@ def _ladder_template(tag: str, m: int) -> FinitePoset:
     return FinitePoset(elements, covers)
 
 
+@lru_cache(maxsize=128)
 def shape_template(shape: ShapeClass) -> FinitePoset:
-    """A concrete poset of the given shape, on synthetic string labels."""
+    """A concrete poset of the given shape, on synthetic string labels.
+
+    Memoised: posets are immutable, so every caller can share one.
+    """
     tag, m = shape.tag, shape.param
     if tag == POINT:
         return FinitePoset(["q0"], [])

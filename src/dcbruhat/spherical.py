@@ -264,12 +264,15 @@ class CaseResult:
     """All verification outcomes for one catalogued pair.
 
     Three-state checks use None for "not applicable to this case".
+    ``lattice_witness`` is the first pair of elements found without a
+    join or a meet, or None for a lattice.
     """
 
     case: SphericalCase
     size: int
     actual_shape: ShapeClass
     lattice_ok: bool
+    lattice_witness: tuple[Perm, Perm] | None
     shape_ok: bool
     bounds_ok: bool
     height: int
@@ -288,7 +291,10 @@ class CaseResult:
     def notes(self) -> str:
         bad = []
         if not self.lattice_ok:
-            bad.append("not a lattice")
+            x, y = self.lattice_witness
+            bad.append(
+                f"not a lattice: {format_perm(x)} and {format_perm(y)} lack a join or a meet"
+            )
         if not self.shape_ok:
             bad.append(f"shape {self.actual_shape} not in predicted family")
         if not self.bounds_ok:
@@ -385,7 +391,7 @@ def build_xplus_poset(degree: int, i_complement, j_complement) -> FinitePoset:
 
 def verify_case(case: SphericalCase) -> CaseResult:
     poset = build_xplus_poset(case.degree, case.i_complement, case.j_complement)
-    lattice_ok, _ = poset.is_lattice()
+    lattice_ok, lattice_witness = poset.is_lattice()
     actual_shape = classify_shape(poset)
     shape_ok = shape_in_family(actual_shape, case.predicted_shape)
     mins = poset.minimal_elements()
@@ -418,6 +424,7 @@ def verify_case(case: SphericalCase) -> CaseResult:
         size=len(poset),
         actual_shape=actual_shape,
         lattice_ok=lattice_ok,
+        lattice_witness=lattice_witness,
         shape_ok=shape_ok,
         bounds_ok=bounds_ok,
         height=poset.height(),

@@ -1,8 +1,9 @@
-"""Acceptance gate: the eleven numbered checks, one test and one verdict line each.
+"""Acceptance gate: the twelve numbered checks, one test and one verdict line each.
 
-Check 5 is expected to fail: the height bound does not hold for the
-a-family ladders at their smallest parameter, and the check states the
-claim as catalogued rather than weakening it to fit.
+Check 5 is expected to fail: the height bound does not hold for any
+a-family ladder (height j + 1 against the bound j), at any rung count,
+and the check states the claim as catalogued rather than weakening it
+to fit.  Check 12 states the exact rung counts and heights instead.
 """
 
 import itertools
@@ -21,6 +22,7 @@ from dcbruhat.parabolic import (
 )
 from dcbruhat.poset import ShapeClass, classify_shape
 from dcbruhat.spherical import (
+    _family_form,
     alt_bottom_length,
     build_xplus_poset,
     spherical_pairs,
@@ -38,6 +40,15 @@ from dcbruhat.weights import (
 
 LADDER_TAGS = ("ladder-a", "ladder-b", "ladder-c", "ladder-d")
 CLOSED_FORM_TAGS = ("diamond",) + LADDER_TAGS
+
+#: Rung count and height of each ladder family, from n = degree - 1 and
+#: the normalized parameters (i, j).
+LADDER_PARAMETERS = {
+    "ladder-a": lambda n, i, j: (j - 2, j + 1),
+    "ladder-b": lambda n, i, j: (n - i, n - i + 2),
+    "ladder-c": lambda n, i, j: (i - 1, i + 1),
+    "ladder-d": lambda n, i, j: (n + 1 - j, n - j + 2),
+}
 
 
 def verdict(number, name, ok):
@@ -126,6 +137,37 @@ def test_05_ladder_height_and_merge(sweep):
         for row in bad
     )
     assert ok, f"height bound fails for {len(bad)} catalogued pairs: {detail}"
+
+
+def exact_ladder_parameters(reports):
+    """The ladder rows and those whose shape or height misses the closed forms.
+
+    Shapes are compared in family form, since the one-rung a-ladder is
+    classified as the stretched diamond.
+    """
+    rows = [row for report in reports for row in report.rows if row.case.tag in LADDER_TAGS]
+    bad = []
+    for row in rows:
+        m, height = LADDER_PARAMETERS[row.case.tag](row.case.degree - 1, *row.case.norm)
+        expected = _family_form(ShapeClass(row.case.tag, m))
+        if _family_form(row.actual_shape) != expected or row.height != height:
+            bad.append(f"{row.case.key()} shape={row.actual_shape} height={row.height} "
+                       f"expected {expected} height={height}")
+    return rows, bad
+
+
+def test_12_exact_ladder_parameters(sweep):
+    reports, _ = sweep
+    rows, bad = exact_ladder_parameters(reports.values())
+    ok = bool(rows) and not bad
+    assert verdict(12, "exact-ladder-parameters", ok), "; ".join(bad)
+
+
+@pytest.mark.slow
+def test_12_exact_ladder_parameters_degrees_8_to_11():
+    rows, bad = exact_ladder_parameters(verify_theorem(d) for d in (8, 9, 10, 11))
+    ok = bool(rows) and not bad
+    assert verdict(12, "exact-ladder-parameters-8-to-11", ok), "; ".join(bad)
 
 
 def test_06_interval_property():

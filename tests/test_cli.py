@@ -1,11 +1,45 @@
 """Command-line plumbing: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dcbruhat.cli import ENV_DEGREE_CAP, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: sha256 of stdout and the exit code for calls whose output is pinned
+#: byte for byte: the catalogue sweep and three catalogued degree-7 pairs.
+PINNED_OUTPUTS = [
+    (("verify", "--degrees", "4..8"), 1,
+     "7c1b4a71850d123c3b784855cfd431b237457d1b1a4ad678f528ef2f8eb21625"),
+    (("verify", "--degrees", "4..8", "--format", "json"), 1,
+     "bdad6be22985a8692fe481b28443fafe9da3baff8ff6638422524334eb7614be"),
+    (("cosets", "--degree", "7", "--ic", "{3}", "--jc", "{1,4}"), 0,
+     "b23de922bb828263ccd7431a076f2ee7c85515d1b40e3177a787f1e59365fcaf"),
+    (("cosets", "--degree", "7", "--ic", "{3}", "--jc", "{1,4}", "--format", "json"), 0,
+     "06b2d9b7d25c499e1fce4dd72aad8b08a902dd10efe27a6713f18a2ca3cdc0a3"),
+    (("cosets", "--degree", "7", "--ic", "{2}", "--jc", "{2,5}"), 0,
+     "3484739dde1aa50a09a8aa04fe0a06976f2ee27cd7915cb03232bea93b52dd83"),
+    (("cosets", "--degree", "7", "--ic", "{2}", "--jc", "{2,5}", "--format", "json"), 0,
+     "07df2059a5bdffd187b62c3586d4af316a77dca2637962ea3d0d2f3e724b8837"),
+    (("hasse", "--degree", "7", "--ic", "{3}", "--jc", "{1,4}"), 0,
+     "6e44298e9117856ac59e5d4fc54cdd499c80d4aed6ed9b875ff7e1d41b1f0037"),
+    (("hasse", "--degree", "7", "--ic", "{3}", "--jc", "{1,4}", "--format", "json"), 0,
+     "d044ceb12bf32cd5e5d98a618c5e49f617e68775f67c25c8ac5a1bac1397e380"),
+    (("hasse", "--degree", "7", "--ic", "{2}", "--jc", "{2,5}"), 0,
+     "9bd6059e5c08ee7b4548ced06e5f858394fefc74444ed14f492fa36dab839165"),
+    (("hasse", "--degree", "7", "--ic", "{2}", "--jc", "{2,5}", "--format", "json"), 0,
+     "aab36865b9c8707dc15dc70f3c126223fd86f2ac2dbab7b777abc9ca2f682be0"),
+    (("hasse", "--degree", "7", "--ic", "{4}", "--jc", "{1,3}"), 0,
+     "579513ed86b6f743303d9f7f4a06bfc9343c2a0523b5bf49eaf9b912608e8437"),
+]
 
 
 def run(capsys, *argv):
@@ -190,3 +224,24 @@ def test_usage_errors(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "cosets", "--degree", "5")[0] == 2
     assert run(capsys, "verify", "--degrees", "x..y")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", PINNED_OUTPUTS, ids=[" ".join(argv) for argv, _, _ in PINNED_OUTPUTS]
+)
+def test_output_is_pinned_byte_for_byte(capsys, monkeypatch, argv, code, digest):
+    monkeypatch.delenv(ENV_DEGREE_CAP, raising=False)
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_module_entry_point_runs_the_cli():
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "dcbruhat", "compare", "2 1 3", "3 1 2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "true\n"

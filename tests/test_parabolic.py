@@ -8,8 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcbruhat.bruhat import leq, order_tables
+from dcbruhat import parabolic
+from dcbruhat.bruhat import leq, order_tables, rank_guard, rank_key, rank_leq
 from dcbruhat.parabolic import (
+    CosetEntry,
+    _blocks,
+    _tables,
     check_interval_property,
     coset_members,
     coset_of,
@@ -20,6 +24,7 @@ from dcbruhat.parabolic import (
     min_representatives,
     parabolic_elements,
 )
+from dcbruhat.poset import FinitePoset
 from dcbruhat.symgroup import (
     CapExceeded,
     all_permutations,
@@ -125,6 +130,94 @@ def test_engine_matches_oracle_on_whole_group_degree6():
 def test_engine_matches_oracles_on_every_pair_degree6():
     for I, J in itertools.product(subsets(6), repeat=2):
         assert_engine_matches_oracles(6, I, J)
+
+
+# --- the eager construction as an oracle for the lazy coset table -----------
+
+
+def eager_coset_entry(rows, table, group_order):
+    """Shortest member, longest member and size of one table's coset, all at once."""
+    low = []
+    high = []
+    start = 0
+    for size in rows:
+        low.append(start + 1)
+        start += size
+        high.append(start)
+    shortest, longest = [], []
+    for b in range(len(table[0])):
+        for a in range(len(rows)):
+            m = table[a][b]
+            shortest.extend(range(low[a], low[a] + m))
+            low[a] += m
+        for a in reversed(range(len(rows))):
+            m = table[a][b]
+            longest.extend(range(high[a], high[a] - m, -1))
+            high[a] -= m
+    stabilizer = math.prod(math.factorial(m) for row in table for m in row)
+    return CosetEntry(tuple(shortest), tuple(longest), group_order // stabilizer)
+
+
+def eager_decompose(degree, I, J):
+    """Entries built eagerly, covers as index pairs, and the element-pair poset."""
+    rows, cols = _blocks(degree, I), _blocks(degree, J)
+    group_order = math.prod(map(math.factorial, rows)) * math.prod(map(math.factorial, cols))
+    entries = sorted(
+        (eager_coset_entry(rows, t, group_order) for t in _tables(rows, cols)),
+        key=lambda e: e.max_rep,
+    )
+    guard = rank_guard(degree)
+    keys = [rank_key(e.max_rep) for e in entries]
+    n = len(entries)
+    up = [0] * n
+    covers = [[] for _ in range(n)]
+    for a in reversed(range(n)):
+        above = 0
+        for b in range(a + 1, n):
+            if not above >> b & 1 and rank_leq(keys[a], keys[b], guard):
+                covers[a].append(b)
+                above |= up[b]
+        up[a] = above | 1 << a
+    order = [(a, b) for a in range(n) for b in covers[a]]
+    reps = [e.max_rep for e in entries]
+    poset = FinitePoset(reps, [(reps[a], reps[b]) for a, b in order])
+    return entries, order, poset
+
+
+def assert_lazy_table_matches_eager_build(degree):
+    for I, J in itertools.product(subsets(degree), repeat=2):
+        entries, order, poset = eager_decompose(degree, I, J)
+        table = decompose(degree, I, J)
+        assert table.max_reps == tuple(e.max_rep for e in entries)
+        built = table.poset()
+        assert built == poset
+        assert built.covers == poset.covers
+        assert list(table.order) == order
+        assert "entries" not in vars(table)  # nothing above read them
+        assert list(table.entries) == entries
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_lazy_table_matches_eager_build_on_every_pair(degree):
+    assert_lazy_table_matches_eager_build(degree)
+
+
+@pytest.mark.slow
+def test_lazy_table_matches_eager_build_on_every_pair_degree6():
+    assert_lazy_table_matches_eager_build(6)
+
+
+def test_coset_poset_builds_no_entries(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a shortest member was built")
+
+    monkeypatch.setattr(parabolic, "_coset_entry", refuse)
+    full = full_genset(7)
+    table = decompose(7, full - {3}, full - {1, 4})
+    assert table.poset().bottom() == table.max_reps[0]
+    assert len(table.max_reps) == 7
+    with pytest.raises(AssertionError, match="shortest member"):
+        table.entries
 
 
 def test_coset_cap_refuses_up_front():

@@ -1,5 +1,6 @@
 """Finite poset container, exports, isomorphism, shape taxonomy."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from dcbruhat.poset import (
     hasse_reduction,
     shape_template,
 )
+from dcbruhat.spherical import build_xplus_poset
 from dcbruhat.weights import format_weight, orbit_poset
 
 POINT_DOT = (
@@ -59,6 +61,12 @@ CHAIN_JSON = (
     "  ]\n"
     "}\n"
 )
+
+
+def complements(degree):
+    return [
+        frozenset(c) for r in range(degree) for c in itertools.combinations(range(1, degree), r)
+    ]
 
 
 def divisibility(limit):
@@ -202,6 +210,109 @@ def test_is_lattice_with_witness():
     assert witness is not None
     x, y = witness
     assert {x, y} <= {"a", "b", "c", "d"}
+
+
+def seed_is_lattice(p):
+    """The original lattice check: count the minimal common upper bounds per pair."""
+    n = len(p.elements)
+    for i in range(n):
+        for j in range(i + 1, n):
+            common_up = p._up[i] & p._up[j]
+            minimal = 0
+            for k in range(n):
+                if common_up >> k & 1 and not (p._down[k] & common_up & ~(1 << k)):
+                    minimal |= 1 << k
+            if bin(minimal).count("1") != 1:
+                return False, (p.elements[i], p.elements[j])
+            common_down = p._down[i] & p._down[j]
+            maximal = 0
+            for k in range(n):
+                if common_down >> k & 1 and not (p._up[k] & common_down & ~(1 << k)):
+                    maximal |= 1 << k
+            if bin(maximal).count("1") != 1:
+                return False, (p.elements[i], p.elements[j])
+    return True, None
+
+
+BOWTIE = FinitePoset(["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+
+ALL_TEMPLATE_SHAPES = (
+    [ShapeClass(POINT), ShapeClass(STRETCHED_DIAMOND)]
+    + [ShapeClass(CHAIN, k) for k in range(1, 8)]
+    + [ShapeClass(tag, m) for tag in LADDER_TAGS for m in range(1, 7)]
+)
+
+
+@pytest.mark.parametrize("limit", [1, 7, 12, 30, 36, 60, 64, 72, 210])
+def test_upset_lattice_test_matches_seed_on_divisibility(limit):
+    p = divisibility(limit)
+    assert p.is_lattice() == seed_is_lattice(p) == (True, None)
+
+
+def test_upset_lattice_test_matches_seed_on_bowtie_and_templates():
+    assert BOWTIE.is_lattice() == seed_is_lattice(BOWTIE) == (False, ("a", "b"))
+    for shape in ALL_TEMPLATE_SHAPES:
+        p = shape_template(shape)
+        assert p.is_lattice() == seed_is_lattice(p) == (True, None), shape
+    # two incomparable tops: every pair still has a meet, the tops no join
+    fork = FinitePoset(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    assert fork.is_lattice() == seed_is_lattice(fork) == (False, ("b", "c"))
+
+
+@given(dag_closures())
+def test_upset_lattice_test_matches_seed_on_random_dags(closure):
+    up, order = closure
+    p = FinitePoset.from_up_masks(order, up)
+    assert p.is_lattice() == seed_is_lattice(p)
+
+
+def test_upset_lattice_test_matches_seed_on_coset_posets():
+    verdicts = []
+    for ic, jc in itertools.product(complements(5), repeat=2):
+        p = build_xplus_poset(5, ic, jc)
+        verdict = p.is_lattice()
+        assert verdict == seed_is_lattice(p), (ic, jc)
+        verdicts.append(verdict[0])
+    assert True in verdicts and False in verdicts
+
+
+def test_from_cover_masks_matches_the_constructor():
+    elts = ["a", "b", "c", "d"]
+    pairs = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+    p = FinitePoset.from_cover_masks(elts, [0b0110, 0b1000, 0b1000, 0])
+    assert p == FinitePoset(elts, pairs)
+    assert p.covers == tuple(pairs)
+
+
+@given(dag_closures())
+def test_from_cover_masks_matches_from_up_masks(closure):
+    up, order = closure
+    p = FinitePoset.from_up_masks(order, up)
+    q = FinitePoset.from_cover_masks(order, hasse_reduction(up))
+    assert q == p
+    assert q.height() == p.height()
+    assert all(q.leq(x, y) == p.leq(x, y) for x in order for y in order)
+
+
+def test_from_cover_masks_checks_the_masks():
+    with pytest.raises(ValueError):
+        FinitePoset.from_cover_masks(["a", "b"], [0b10])
+    with pytest.raises(NotAPartialOrder, match="duplicate"):
+        FinitePoset.from_cover_masks(["a", "a"], [0, 0])
+    with pytest.raises(NotAPartialOrder, match="not an element"):
+        FinitePoset.from_cover_masks(["a", "b"], [0b100, 0])
+    with pytest.raises(NotAPartialOrder, match="self-cover"):
+        FinitePoset.from_cover_masks(["a", "b"], [0b01, 0])
+    with pytest.raises(NotAPartialOrder, match="cycle"):
+        FinitePoset.from_cover_masks(["a", "b"], [0b10, 0b01])
+    with pytest.raises(NotAPartialOrder, match="implied"):
+        FinitePoset.from_cover_masks(["a", "b", "c"], [0b110, 0b100, 0])
+
+
+def test_templates_are_shared():
+    for shape in ALL_TEMPLATE_SHAPES:
+        assert shape_template(shape) is shape_template(shape)
+    assert shape_template(ShapeClass(LADDER_A, 3)) == shape_template(ShapeClass("ladder-a", 3))
 
 
 def test_dot_goldens():

@@ -2,14 +2,16 @@
 
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
 from dcbruhat.bruhat import leq
 from dcbruhat.parabolic import max_representatives
-from dcbruhat.poset import FinitePoset, ShapeClass, classify_shape
+from dcbruhat.poset import UNRECOGNIZED, FinitePoset, ShapeClass, classify_shape
 from dcbruhat.spherical import (
     NoClosedFormBottom,
+    SphericalCase,
     alt_bottom_length,
     build_xplus_poset,
     matches_family,
@@ -177,6 +179,27 @@ def test_verify_case_figure():
     assert result.lattice_ok and result.shape_ok and result.bounds_ok
     assert result.bottom_ok
     assert result.passed
+
+
+def test_lattice_witness_is_named_only_on_failure():
+    cases = by_complements(6)
+    ok = verify_case(cases[((2,), (2, 4))])
+    assert ok.lattice_witness is None
+    assert "lattice" not in ok.notes()
+    bad = replace(ok, lattice_ok=False, lattice_witness=((2, 1, 6, 5, 4, 3), (6, 5, 4, 3, 2, 1)))
+    assert not bad.passed
+    assert bad.notes() == (
+        "not a lattice: 2 1 6 5 4 3 and 6 5 4 3 2 1 lack a join or a meet"
+    )
+
+
+def test_verify_case_keeps_the_witness_of_a_non_lattice():
+    # outside the catalogue: two missing left indices
+    case = SphericalCase(4, (1, 2), (1, 2), "uncatalogued", ShapeClass(UNRECOGNIZED))
+    result = verify_case(case)
+    assert not result.lattice_ok
+    assert result.lattice_witness == ((1, 4, 3, 2), (2, 1, 4, 3))
+    assert result.notes().startswith("not a lattice: 1 4 3 2 and 2 1 4 3 lack a join or a meet")
 
 
 def test_verify_theorem_small_degrees_pass():
