@@ -161,7 +161,13 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand's arguments or only command's.
+
+    All six subcommands are registered either way, so the top-level help
+    and the invalid-choice error do not depend on command; parsing one
+    subcommand's command line needs only that subcommand's arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="dcbruhat",
         description="Double coset posets of the symmetric group under strong order.",
@@ -175,49 +181,57 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"override the degree cap (env {ENV_DEGREE_CAP})")
 
     p = sub.add_parser("cosets", help="double coset table for one pair")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--ic", required=True, help="left genset complement, e.g. {2}")
-    p.add_argument("--jc", required=True, help="right genset complement, e.g. {2,4}")
-    add_common(p, ("json", "table"), "table")
-    p.set_defaults(func=cmd_cosets)
+    if command in (None, "cosets"):
+        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--ic", required=True, help="left genset complement, e.g. {2}")
+        p.add_argument("--jc", required=True, help="right genset complement, e.g. {2,4}")
+        add_common(p, ("json", "table"), "table")
+        p.set_defaults(func=cmd_cosets)
 
     p = sub.add_parser("hasse", help="poset of longest representatives")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--ic", required=True)
-    p.add_argument("--jc", required=True)
-    add_common(p, ("dot", "json"), "dot")
-    p.set_defaults(func=cmd_hasse)
+    if command in (None, "hasse"):
+        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--ic", required=True)
+        p.add_argument("--jc", required=True)
+        add_common(p, ("dot", "json"), "dot")
+        p.set_defaults(func=cmd_hasse)
 
     p = sub.add_parser("verify", help="run the catalogue checks")
-    p.add_argument("--degrees", required=True, help="a degree or range, e.g. 4..6")
-    add_common(p, ("table", "json"), "table")
-    p.set_defaults(func=cmd_verify)
+    if command in (None, "verify"):
+        p.add_argument("--degrees", required=True, help="a degree or range, e.g. 4..6")
+        add_common(p, ("table", "json"), "table")
+        p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tight", help="orbit tightness scan for one degree")
-    p.add_argument("--degree", type=int, required=True)
-    add_common(p, ("table", "json"), "table")
-    p.set_defaults(func=cmd_tight)
+    if command in (None, "tight"):
+        p.add_argument("--degree", type=int, required=True)
+        add_common(p, ("table", "json"), "table")
+        p.set_defaults(func=cmd_tight)
 
     p = sub.add_parser("compare", help="compare two permutations in strong order")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--oracle", action="store_true",
-                   help="use the slow subword check instead of the prefix test")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_compare)
+    if command in (None, "compare"):
+        p.add_argument("first")
+        p.add_argument("second")
+        p.add_argument("--oracle", action="store_true",
+                       help="use the slow subword check instead of the prefix test")
+        p.add_argument("--output")
+        p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("orbit", help="weight orbit poset")
-    p.add_argument("--theta", required=True, help="dominant weight, e.g. 2,1,1,0")
-    p.add_argument("--restrict", default=None,
-                   help="genset the orbit members must respect, e.g. {1,3}")
-    add_common(p, ("dot", "json", "table"), "table")
-    p.set_defaults(func=cmd_orbit)
+    if command in (None, "orbit"):
+        p.add_argument("--theta", required=True, help="dominant weight, e.g. 2,1,1,0")
+        p.add_argument("--restrict", default=None,
+                       help="genset the orbit members must respect, e.g. {1,3}")
+        add_common(p, ("dot", "json", "table"), "table")
+        p.set_defaults(func=cmd_orbit)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -16,10 +16,10 @@ whole-group order tables that each coset is a full interval.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import sub
 from typing import Iterator
 
 from .bruhat import order_tables, rank_guard, rank_key
@@ -34,6 +34,7 @@ from .symgroup import (
     format_perm,
     identity,
     inverse,
+    json_text,
     length,
     mult_left,
     mult_right,
@@ -108,7 +109,7 @@ class DoubleCosetTable:
 
     def to_json(self) -> str:
         full = frozenset(range(1, self.degree))
-        return json.dumps(
+        return json_text(
             {
                 "degree": self.degree,
                 "I_complement": sorted(full - self.left_gens),
@@ -118,9 +119,7 @@ class DoubleCosetTable:
                     for e in self.entries
                 ],
                 "covers": sorted([i, j] for i, j in self.order),
-            },
-            sort_keys=True,
-            indent=2,
+            }
         ) + "\n"
 
     def to_table(self) -> str:
@@ -162,31 +161,63 @@ def _factorial_product(sizes) -> int:
 
 
 def _fillings(total: int, room: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Vectors v with sum total and 0 <= v[b] <= room[b]."""
-    if len(room) == 1:
-        if total <= room[0]:
-            yield (total,)
+    """Vectors v with sum total and 0 <= v[b] <= room[b], in lexicographic order.
+
+    One frame walks the vectors in place: each step raises the last
+    entry before the final one that has room and something after it to
+    take from, and refills everything after it as low as possible.
+    """
+    k = len(room)
+    rest = [0] * (k + 1)  # rest[b] = sum(room[b:])
+    for b in reversed(range(k)):
+        rest[b] = rest[b + 1] + room[b]
+    if total > rest[0]:
         return
-    rest = sum(room[1:])
-    for x in range(max(0, total - rest), min(room[0], total) + 1):
-        for tail in _fillings(total - x, room[1:]):
-            yield (x,) + tail
+    v = [0] * k
+    start, left = 0, total
+    while True:
+        for b in range(start, k):
+            v[b] = max(0, left - rest[b + 1])
+            left -= v[b]
+        yield tuple(v)
+        b, left = k - 2, v[-1]
+        while b >= 0 and (v[b] == room[b] or not left):
+            left += v[b]
+            b -= 1
+        if b < 0:
+            return
+        v[b] += 1
+        start, left = b + 1, left - 1
 
 
 def _tables(rows: tuple[int, ...], cols: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Nonnegative integer matrices with the given row and column sums.
 
-    Filled row by row.  Whatever the earlier rows took, the remaining
-    margins have equal totals, so some matrix completes them and no
-    branch dead-ends; the last row is forced.
+    Filled row by row, in lexicographic order of the rows, from an
+    explicit stack of row iterators.  Whatever the earlier rows took,
+    the remaining margins have equal totals, so some matrix completes
+    them and no branch dead-ends; the last row is forced.
     """
-    if len(rows) == 1:
+    last = len(rows) - 1
+    if not last:
         yield (cols,)
         return
-    for first in _fillings(rows[0], cols):
-        left = tuple(c - x for c, x in zip(cols, first))
-        for rest in _tables(rows[1:], left):
-            yield (first,) + rest
+    prefix: list[tuple[int, ...]] = []  # rows chosen above the current depth
+    margins = [cols]  # margins[a]: the column sums left for rows a onward
+    pending = [_fillings(rows[0], cols)]
+    while pending:
+        a = len(pending) - 1
+        row = next(pending[-1], None)
+        if row is None:
+            pending.pop()
+            continue
+        prefix[a:] = [row]
+        left = tuple(map(sub, margins[a], row))
+        if a + 1 == last:
+            yield (*prefix, left)
+        else:
+            margins[a + 1:] = [left]
+            pending.append(_fillings(rows[a + 1], left))
 
 
 def _longest_member(rows: tuple[int, ...], table) -> Perm:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-import networkx as nx
+from .symgroup import json_text
 
 
 class NotAPartialOrder(ValueError):
@@ -318,22 +318,24 @@ class FinitePoset:
         return "\n".join(lines) + "\n"
 
     def to_json(self, label: Callable[[Hashable], str] = str) -> str:
-        import json
-
-        return json.dumps(
+        return json_text(
             {
                 "elements": [label(x) for x in self.elements],
                 "covers": [[i, j] for i, j in _pairs(self._adj)],
-            },
-            sort_keys=True,
-            indent=2,
+            }
         ) + "\n"
 
 
 def are_isomorphic(p: FinitePoset, q: FinitePoset, cap: int = 10000) -> bool:
-    """Poset isomorphism via digraph isomorphism of the Hasse diagrams.
+    """Poset isomorphism by matching Hasse diagrams level by level.
 
-    Cheap invariants first; the matcher only runs on agreeing pairs.
+    Cheap invariants first; the matcher only runs on agreeing pairs.  It
+    visits p's elements by (level, out-degree, in-degree) and maps each
+    to an unused element of q with the same key whose lower covers are
+    exactly the images of its own.  Lower covers sit on strictly lower
+    levels, so they are already mapped, and each cover is checked once,
+    at its upper end.  Backtracking keeps an explicit stack, so the cap,
+    not the recursion limit, bounds the size.
     """
     if len(p) != len(q):
         return False
@@ -350,13 +352,42 @@ def are_isomorphic(p: FinitePoset, q: FinitePoset, cap: int = 10000) -> bool:
 
     if profile(p) != profile(q):
         return False
-    gp = nx.DiGraph()
-    gp.add_nodes_from(range(len(p)))
-    gp.add_edges_from(_pairs(p._adj))
-    gq = nx.DiGraph()
-    gq.add_nodes_from(range(len(q)))
-    gq.add_edges_from(_pairs(q._adj))
-    return nx.algorithms.isomorphism.DiGraphMatcher(gp, gq).is_isomorphic()
+
+    def key(r: FinitePoset, i: int) -> tuple[int, int, int]:
+        return r._level[i], bin(r._adj[i]).count("1"), bin(r._radj[i]).count("1")
+
+    n = len(p)
+    order = sorted(range(n), key=lambda i: key(p, i))
+    pool: dict[tuple[int, int, int], list[int]] = {}
+    for j in range(n):
+        pool.setdefault(key(q, j), []).append(j)
+    options = [pool.get(key(p, i), []) for i in order]
+    image = [0] * n  # image[i]: the bit of the element of q that i maps to
+    tried = [-1] * n  # tried[k]: the option last taken at depth k
+    used = 0
+    k = 0
+    while k < n:
+        i = order[k]
+        used &= ~image[i]
+        want = 0
+        for b in _bits(p._radj[i]):
+            want |= image[b]
+        cands = options[k]
+        c = tried[k] + 1
+        while c < len(cands) and (used >> cands[c] & 1 or q._radj[cands[c]] != want):
+            c += 1
+        if c == len(cands):
+            tried[k] = -1
+            image[i] = 0
+            k -= 1
+            if k < 0:
+                return False
+            continue
+        tried[k] = c
+        image[i] = 1 << cands[c]
+        used |= image[i]
+        k += 1
+    return True
 
 
 # --- the shape zoo ---------------------------------------------------------

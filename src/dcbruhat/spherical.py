@@ -12,7 +12,6 @@ one-line words by the longest element.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 
@@ -39,6 +38,7 @@ from .symgroup import (
     format_genset,
     format_perm,
     full_genset,
+    json_text,
     longest_element,
 )
 
@@ -327,7 +327,7 @@ class VerificationReport:
         def word(w):
             return None if w is None else list(w)
 
-        return json.dumps(
+        return json_text(
             {
                 "degree": self.degree,
                 "all_pass": self.all_pass,
@@ -353,9 +353,7 @@ class VerificationReport:
                     }
                     for r in self.rows
                 ],
-            },
-            sort_keys=True,
-            indent=2,
+            }
         ) + "\n"
 
     def to_table(self) -> str:

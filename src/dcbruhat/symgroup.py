@@ -14,10 +14,12 @@ Text formats, shared by the CLI and the serializers:
 
 * permutation: space-separated values, ``"2 1 6 5 4 3"``
 * genset: comma-separated indices in braces, ``"{2,4}"`` (empty: ``"{}"``)
+* report documents: indented JSON with sorted keys, from ``json_text``
 """
 from __future__ import annotations
 
 import itertools
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -243,6 +245,72 @@ def format_genset(gens: Iterable[int]) -> str:
     '{2,4}'
     """
     return "{" + ",".join(str(i) for i in sorted(gens)) + "}"
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def json_text(obj) -> str:
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)``, without its Python encoder.
+
+    With ``indent`` set the standard library encodes in pure Python;
+    this writer dispatches on exact types and escapes strings with the
+    C helper.  It accepts only what the reports emit (dicts with string
+    keys, lists, strings, ints, bools and None) and raises ``TypeError``
+    on anything else, floats and tuples included, so its output cannot
+    drift from the standard encoder's.
+
+    >>> print(json_text({"b": [1, None], "a": {}}))
+    {
+      "a": {},
+      "b": [
+        1,
+        null
+      ]
+    }
+    """
+    parts: list[str] = []
+    _json_parts(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(obj, newline: str, out: list[str]) -> None:
+    """Append the pieces of obj's text to out; newline carries the indent."""
+    kind = type(obj)
+    if kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is bool or obj is None:
+        out.append(_JSON_CONSTANTS[obj])
+    elif kind is list:
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _json_parts(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        if any(type(key) is not str for key in obj):
+            raise TypeError("json_text takes only string keys")
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _json_parts(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"json_text cannot encode {kind.__name__}")
 
 
 if __name__ == "__main__":

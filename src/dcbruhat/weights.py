@@ -25,7 +25,6 @@ only for what the public functions return.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +37,7 @@ from .symgroup import (
     Perm,
     check_genset,
     format_genset,
+    json_text,
 )
 
 Weight = tuple[Fraction, ...]
@@ -414,7 +414,7 @@ class TightScanReport:
         return all(r.match for r in self.rows)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return json_text(
             {
                 "degree": self.degree,
                 "all_match": self.all_match,
@@ -431,9 +431,7 @@ class TightScanReport:
                     }
                     for r in self.rows
                 ],
-            },
-            sort_keys=True,
-            indent=2,
+            }
         ) + "\n"
 
     def to_table(self) -> str:

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from dcbruhat.cli import ENV_DEGREE_CAP, main
+from dcbruhat import parabolic, spherical, weights
+from dcbruhat.cli import ENV_DEGREE_CAP, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -39,6 +40,55 @@ PINNED_OUTPUTS = [
      "aab36865b9c8707dc15dc70f3c126223fd86f2ac2dbab7b777abc9ca2f682be0"),
     (("hasse", "--degree", "7", "--ic", "{4}", "--jc", "{1,3}"), 0,
      "579513ed86b6f743303d9f7f4a06bfc9343c2a0523b5bf49eaf9b912608e8437"),
+]
+
+#: sha256 of stdout and of stderr, and the exit code, for the help and
+#: usage-error texts at an 80-column width (argparse's wording as of
+#: Python 3.11), so that building only one subcommand's arguments per
+#: call cannot change them.
+PINNED_HELP = [
+    (("--help",), 0,
+     "8f4eed0649734a2994b50bb64a5cf28842f17a875562cefd1d98dab992b4ea95",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("cosets", "--help"), 0,
+     "fad0d7992851ba70a9714f9e196e7ab76f66e386e1b4b2b7084f86cc5e406226",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("hasse", "--help"), 0,
+     "afad8fbd3253585e1c98836b5e915e67d16cf04b31d4b031026a2aa279246c39",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("verify", "--help"), 0,
+     "82dd4bd1f8fcfd9cadaa218c5d45abad369e0add3f1ffa936ea641c178066295",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("tight", "--help"), 0,
+     "128ab6af686d642be34de4dba2c41efa30cbafb4dc9e0e446b576949d0b0d503",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("compare", "--help"), 0,
+     "eea83b576e657176ba32918b0e0b1a3ca4a9aee17f18e5eb348d85dfed7bd530",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("orbit", "--help"), 0,
+     "e7abf3d1ec2e075749a42f74731fd927c1dd965c8c561acaaaef4c35a5317f80",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("bogus",), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "0b024ad3944ab3bd31353a02badb4397df85a13ca4f5672196a0b7474c326a15"),
+    ((), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "bb6453ada171e5a3209b1588687be9e0ef25ed60f4ace412e62e272221818c1a"),
+    (("cosets", "--degree"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "58f73fa8be3e9bec75e89f47f4fda870c69aba4a0c9c5d7c911942108d370e6a"),
+]
+
+#: Valid command lines covering every subcommand and every argument.
+VALID_ARGVS = [
+    ["cosets", "--degree", "6", "--ic", "{2}", "--jc", "{2,4}"],
+    ["cosets", "--degree", "9", "--ic", "{1,3}", "--jc", "{2}", "--format", "json",
+     "--output", "out.json", "--degree-cap", "9"],
+    ["hasse", "--degree", "7", "--ic", "{3}", "--jc", "{1,4}", "--format", "json"],
+    ["verify", "--degrees", "4..8", "--format", "json", "--degree-cap", "8"],
+    ["tight", "--degree", "5"],
+    ["compare", "2 1 3", "3 1 2", "--oracle", "--output", "cmp.txt"],
+    ["orbit", "--theta", "2,1,1,0", "--restrict", "{1,3}", "--format", "dot"],
 ]
 
 
@@ -234,6 +284,66 @@ def test_output_is_pinned_byte_for_byte(capsys, monkeypatch, argv, code, digest)
     got, out, _ = run(capsys, *argv)
     assert got == code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,code,out_digest,err_digest", PINNED_HELP,
+    ids=[" ".join(argv) or "(none)" for argv, *_ in PINNED_HELP],
+)
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, argv, code, out_digest, err_digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == out_digest
+    assert hashlib.sha256(err.encode("utf-8")).hexdigest() == err_digest
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=lambda argv: argv[0])
+def test_one_subcommand_parser_parses_like_the_full_parser(argv):
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_one_subcommand_parser_lacks_the_other_arguments(capsys):
+    # the other subcommands are registered, without their arguments
+    with pytest.raises(SystemExit):
+        build_parser("cosets").parse_args(["tight", "--degree", "5"])
+    assert "unrecognized arguments: --degree 5" in capsys.readouterr().err
+
+
+def test_report_json_is_the_standard_encoding():
+    """Every report document of degrees 4 to 8 equals json.dumps of its own data."""
+    def assert_standard(text):
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    for degree in range(4, 9):
+        assert_standard(spherical.verify_theorem(degree).to_json())
+        for case in spherical.spherical_pairs(degree):
+            assert_standard(spherical.build_xplus_poset(
+                degree, case.i_complement, case.j_complement).to_json(label=list))
+    for degree in range(4, 7):
+        assert_standard(weights.tight_scan(degree).to_json())
+    full = frozenset(range(1, 7))
+    for ic, jc in [({3}, {1, 4}), ({2}, {2, 5}), (set(), set()), (set(full), {1})]:
+        assert_standard(parabolic.decompose(7, full - ic, full - jc).to_json())
+    built = weights.orbit_poset(weights.parse_weight("3,3,2,1,0,0"), None)
+    assert_standard(built.poset.to_json(label=weights.format_weight))
+
+
+def test_cli_import_loads_no_third_party_module():
+    # The interpreter's own site hooks may load packages before any
+    # code runs, so only modules new after the import count.
+    probe = (
+        "import sys; before = set(sys.modules); import dcbruhat.cli; "
+        "print(sorted(m for m in set(sys.modules) - before "
+        "if m.split('.')[0] not in sys.stdlib_module_names and m.split('.')[0] != 'dcbruhat'))"
+    )
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-s", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_module_entry_point_runs_the_cli():

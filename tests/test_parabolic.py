@@ -13,6 +13,7 @@ from dcbruhat.bruhat import leq, order_tables, rank_guard, rank_key, rank_leq
 from dcbruhat.parabolic import (
     CosetEntry,
     _blocks,
+    _fillings,
     _tables,
     check_interval_property,
     coset_members,
@@ -205,6 +206,56 @@ def test_lazy_table_matches_eager_build_on_every_pair(degree):
 @pytest.mark.slow
 def test_lazy_table_matches_eager_build_on_every_pair_degree6():
     assert_lazy_table_matches_eager_build(6)
+
+
+# --- the recursive generators as oracles for the iterative ones -----------
+
+
+def recursive_fillings(total, room):
+    """Vectors v with sum total and 0 <= v[b] <= room[b], first entry outermost."""
+    if len(room) == 1:
+        if total <= room[0]:
+            yield (total,)
+        return
+    rest = sum(room[1:])
+    for x in range(max(0, total - rest), min(room[0], total) + 1):
+        for tail in recursive_fillings(total - x, room[1:]):
+            yield (x,) + tail
+
+
+def recursive_tables(rows, cols):
+    """Contingency tables, one generator frame per row."""
+    if len(rows) == 1:
+        yield (cols,)
+        return
+    for first in recursive_fillings(rows[0], cols):
+        left = tuple(c - x for c, x in zip(cols, first))
+        for rest in recursive_tables(rows[1:], left):
+            yield (first,) + rest
+
+
+def assert_tables_match_recursive_oracle(degree):
+    margins = [_blocks(degree, I) for I in subsets(degree)]
+    for rows, cols in itertools.product(margins, repeat=2):
+        assert list(_tables(rows, cols)) == list(recursive_tables(rows, cols)), (rows, cols)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 7])
+def test_iterative_tables_match_recursive_oracle_on_every_margin_pair(degree):
+    assert_tables_match_recursive_oracle(degree)
+
+
+@pytest.mark.slow
+def test_iterative_tables_match_recursive_oracle_on_every_margin_pair_degree8():
+    assert_tables_match_recursive_oracle(8)
+
+
+def test_iterative_fillings_match_recursive_oracle():
+    # rooms with zero slots and totals past the room, which no margin pair has
+    for k in (1, 2, 3, 4):
+        for room in itertools.product(range(4), repeat=k):
+            for total in range(sum(room) + 3):
+                assert list(_fillings(total, room)) == list(recursive_fillings(total, room))
 
 
 def test_coset_poset_builds_no_entries(monkeypatch):

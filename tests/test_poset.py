@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -128,9 +129,9 @@ def test_mask_reduction_matches_cubic_loop_on_divisibility(limit):
 
 
 @st.composite
-def dag_closures(draw):
+def dag_closures(draw, sizes=st.integers(min_value=1, max_value=12)):
     """Reachability of a random DAG on 0..n-1 whose edges run upward."""
-    n = draw(st.integers(min_value=1, max_value=12))
+    n = draw(sizes)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     up = [1 << i for i in range(n)]
@@ -425,6 +426,122 @@ def test_isomorphism_invariant_under_relabeling(relabel):
     )
     assert are_isomorphic(base, scrambled)
     assert classify_shape(scrambled) == ShapeClass(STRETCHED_DIAMOND)
+
+
+def brute_isomorphic(p, q):
+    """Whether some bijection maps p's cover pairs onto q's.
+
+    Every isomorphism keeps each element's level (the longest chain
+    below it), so only bijections within equal levels are tried; the
+    levels are recomputed here from the cover pairs alone.
+    """
+    def indexed(r):
+        index = {x: i for i, x in enumerate(r.elements)}
+        pairs = {(index[a], index[b]) for a, b in r.covers}
+        level = [0] * len(r)
+        for _ in range(len(r)):
+            for a, b in pairs:
+                level[b] = max(level[b], level[a] + 1)
+        return pairs, level
+
+    if len(p) != len(q):
+        return False
+    p_pairs, p_level = indexed(p)
+    q_pairs, q_level = indexed(q)
+    if len(p_pairs) != len(q_pairs) or sorted(p_level) != sorted(q_level):
+        return False
+    levels = sorted(set(p_level))
+    sources = [[i for i, lv in enumerate(p_level) if lv == k] for k in levels]
+    targets = [[j for j, lv in enumerate(q_level) if lv == k] for k in levels]
+    for images in itertools.product(*map(itertools.permutations, targets)):
+        f = {}
+        for src, dst in zip(sources, images):
+            f.update(zip(src, dst))
+        if all((f[a], f[b]) in q_pairs for a, b in p_pairs):
+            return True
+    return False
+
+
+def relabelled(p, perm):
+    """A copy of p that stores element i at index perm[i], under a new label."""
+    names = {x: f"r{perm[i]:05d}" for i, x in enumerate(p.elements)}
+    return FinitePoset(sorted(names.values()), [(names[a], names[b]) for a, b in p.covers])
+
+
+@given(dag_closures(sizes=st.integers(min_value=1, max_value=7)), st.data())
+def test_matcher_matches_brute_force_on_random_dags(closure, data):
+    up, order = closure
+    p = FinitePoset.from_up_masks(order, up)
+    shuffled = relabelled(p, data.draw(st.permutations(range(len(p)))))
+    assert are_isomorphic(p, shuffled) and brute_isomorphic(p, shuffled)
+    other_up, other_order = data.draw(dag_closures(sizes=st.just(len(up))))
+    q = FinitePoset.from_up_masks(other_order, other_up)
+    verdict = brute_isomorphic(p, q)
+    assert are_isomorphic(p, q) == are_isomorphic(q, p) == verdict
+
+
+def degree_profile(r):
+    """The invariants ``are_isomorphic`` compares before it matches."""
+    degrees = sorted((len(r.upper_covers(x)), len(r.lower_covers(x))) for x in r.elements)
+    return degrees, sorted(r.level_of(x) for x in r.elements)
+
+
+def test_matcher_matches_brute_force_on_profile_twins():
+    # Swapping the tops of two covers keeps every element's degrees; the
+    # pairs that also keep the levels reach the matcher, and some of
+    # them are not isomorphic.
+    rng = random.Random(2017)
+    counts = {True: 0, False: 0}
+    while sum(counts.values()) < 1000:
+        n = rng.randint(4, 8)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        up = [1 << i for i in range(n)]
+        for i in reversed(range(n)):
+            for a, b in edges:
+                if a == i:
+                    up[i] |= up[b]
+        p = FinitePoset.from_up_masks(range(n), up)
+        covers = list(p.covers)
+        if len(covers) < 2:
+            continue
+        (a, b), (c, d) = rng.sample(covers, 2)
+        swapped = [x for x in covers if x not in ((a, b), (c, d))] + [(a, d), (c, b)]
+        try:
+            q = FinitePoset(range(n), swapped)
+        except NotAPartialOrder:
+            continue
+        if degree_profile(p) != degree_profile(q):
+            continue
+        verdict = brute_isomorphic(p, q)
+        assert are_isomorphic(p, q) == are_isomorphic(q, p) == verdict, (p.covers, q.covers)
+        counts[verdict] += 1
+    assert min(counts.values()) >= 50, counts
+
+
+def test_matcher_matches_brute_force_on_every_template_pair():
+    templates = [shape_template(shape) for shape in ALL_TEMPLATE_SHAPES]
+    templates += [shape_template(ShapeClass(CHAIN, k)) for k in range(8, 17)]
+    verdicts = []
+    for p, q in itertools.product(templates, repeat=2):
+        if len(p) == len(q):
+            verdict = brute_isomorphic(p, q)
+            assert are_isomorphic(p, q) == verdict, (p, q)
+            verdicts.append(verdict)
+    # each template matches itself, and the point and chain(1) match, as
+    # do ladder-a(1) and the stretched diamond
+    assert verdicts.count(True) == len(templates) + 4
+    assert False in verdicts
+
+
+def test_matcher_needs_no_recursion_on_a_long_chain():
+    chain = shape_template(ShapeClass(CHAIN, 1500))
+    perm = list(range(1500))
+    random.Random(5).shuffle(perm)
+    copy = relabelled(chain, perm)
+    assert are_isomorphic(chain, copy)
+    assert are_isomorphic(copy, chain)
+    with pytest.raises(ValueError, match="cap"):
+        are_isomorphic(chain, copy, cap=1000)
 
 
 def test_shape_class_text():

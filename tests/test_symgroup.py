@@ -1,6 +1,8 @@
 """Permutation arithmetic checked against brute force on small degrees."""
 
 import itertools
+import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from dcbruhat.symgroup import (
     full_genset,
     genset_complement,
     identity,
+    json_text,
     inverse,
     left_ascents,
     left_descents,
@@ -155,3 +158,35 @@ def test_genset_helpers():
         check_genset(frozenset({6}), 6)
     with pytest.raises(ValueError):
         check_genset(frozenset({0}), 6)
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F)),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=15,
+)
+
+
+@given(json_values)
+def test_json_text_is_the_standard_encoder(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_text_edge_values():
+    odd_text = "\u00e9\u2603\U0001f600\x00\x1f\"\\"
+    for value in ([], {}, [[]], {"": {}}, odd_text, 10**40, [True, None]):
+        assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, (1, 2), Fraction(1, 2), [0, 2.0], {"a": (1,)}, {1: "a"}, {"a": 1, 2: "b"}, {"x"}]
+)
+def test_json_text_refuses_what_the_reports_never_emit(value):
+    with pytest.raises(TypeError):
+        json_text(value)
