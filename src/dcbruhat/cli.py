@@ -68,11 +68,12 @@ def _emit(text: str, args) -> None:
 
 
 def _parse_degree_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+    except ValueError:
+        raise ValueError(f"bad degree range: {text!r}") from None
     if lo < 2 or hi < lo:
         raise ValueError(f"bad degree range: {text!r}")
     return list(range(lo, hi + 1))

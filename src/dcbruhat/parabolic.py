@@ -17,10 +17,9 @@ whole-group order tables that each coset is a full interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import sub
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .bruhat import order_tables, rank_guard, rank_key
 from .symgroup import (
@@ -58,8 +57,7 @@ def parabolic_elements(degree: int, gens: GenSet) -> frozenset[Perm]:
     return frozenset(seen)
 
 
-@dataclass(frozen=True)
-class CosetEntry:
+class CosetEntry(NamedTuple):
     """One double coset, keyed by its two distinguished members."""
 
     min_rep: Perm
@@ -67,16 +65,8 @@ class CosetEntry:
     size: int
 
 
-@dataclass(frozen=True)
-class DoubleCosetTable:
-    """The full decomposition for one (degree, left, right) triple.
-
-    Cosets are indexed in increasing order of their longest members,
-    ``max_reps``.  ``tables`` holds each coset's contingency table, and
-    bit j of ``cover_masks[i]`` says that coset j covers coset i.  The
-    shortest members and sizes in ``entries`` are built from the tables
-    on first read.
-    """
+class _TableFields(NamedTuple):
+    """The stored fields of a ``DoubleCosetTable``."""
 
     degree: int
     left_gens: GenSet
@@ -84,6 +74,24 @@ class DoubleCosetTable:
     max_reps: tuple[Perm, ...]
     tables: tuple[tuple[tuple[int, ...], ...], ...]
     cover_masks: tuple[int, ...]
+
+
+class DoubleCosetTable(_TableFields):
+    """The full decomposition for one (degree, left, right) triple.
+
+    Cosets are indexed in increasing order of their longest members,
+    ``max_reps``.  ``tables`` holds each coset's contingency table, and
+    bit j of ``cover_masks[i]`` says that coset j covers coset i.  The
+    shortest members and sizes in ``entries`` are built from the tables
+    on first read.
+
+    Unlike the other records this subclass keeps an instance
+    ``__dict__``, where ``cached_property`` stores ``entries``; it
+    refuses every other attribute assignment, as the fields do.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: DoubleCosetTable is immutable")
 
     @cached_property
     def entries(self) -> tuple[CosetEntry, ...]:

@@ -15,9 +15,8 @@ the lattice check and the exports stay cheap at the sizes we care about
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .symgroup import json_text
 
@@ -404,8 +403,7 @@ UNRECOGNIZED = "unrecognized"
 LADDER_TAGS = (LADDER_A, LADDER_B, LADDER_C, LADDER_D)
 
 
-@dataclass(frozen=True)
-class ShapeClass:
+class ShapeClass(NamedTuple):
     """A shape family tag plus its size parameter, if the family has one.
 
     For chains the parameter is the number of elements; for ladders it

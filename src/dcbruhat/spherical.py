@@ -12,8 +12,8 @@ one-line words by the longest element.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .parabolic import decompose
 from .poset import (
@@ -55,8 +55,7 @@ class NoClosedFormBottom(ValueError):
     """The case has no explicit bottom-element formula."""
 
 
-@dataclass(frozen=True)
-class SphericalCase:
+class SphericalCase(NamedTuple):
     """One catalogued pair, with its tag and predicted shape.
 
     ``norm`` holds the normalized parameters the side conditions were
@@ -259,8 +258,7 @@ def shape_in_family(actual: ShapeClass, predicted: ShapeClass) -> bool:
     return actual.tag == predicted.tag and predicted.param in (None, actual.param)
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     """All verification outcomes for one catalogued pair.
 
     Three-state checks use None for "not applicable to this case".
@@ -311,8 +309,7 @@ class CaseResult:
         return "; ".join(bad) if bad else "ok"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     degree: int
     rows: tuple[CaseResult, ...]
 

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .poset import FinitePoset
 from .symgroup import (
@@ -57,7 +56,7 @@ def check_dominant(values: Sequence) -> Weight:
     """
     theta = check_weight(values)
     if any(a < b for a, b in zip(theta, theta[1:])):
-        raise ValueError(f"weight is not weakly decreasing: {theta}")
+        raise ValueError(f"weight is not weakly decreasing: {format_weight(theta)}")
     return theta
 
 
@@ -326,8 +325,7 @@ def dominance_leq(nu: Weight, mu: Weight) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OrbitPoset:
+class OrbitPoset(NamedTuple):
     """A (restricted) weight orbit together with its step order."""
 
     theta: Weight
@@ -390,8 +388,7 @@ def rule_predicts_tight(degree: int, jc: Iterable[int]) -> bool:
     return len(jcs) == 2 and jcs[1] == jcs[0] + 1
 
 
-@dataclass(frozen=True)
-class TightRow:
+class TightRow(NamedTuple):
     j_complement: tuple[int, ...]
     theta: Weight
     orbit_size: int
@@ -404,8 +401,7 @@ class TightRow:
         return self.tight == self.rule_tight
 
 
-@dataclass(frozen=True)
-class TightScanReport:
+class TightScanReport(NamedTuple):
     degree: int
     rows: tuple[TightRow, ...]
 

@@ -221,6 +221,15 @@ def test_orbit_rejects_non_dominant(capsys):
     assert "error:" in err
 
 
+def test_non_dominant_weight_is_shown_in_cli_form(capsys):
+    assert run(capsys, "orbit", "--theta", "1,2") == (
+        2, "", "error: weight is not weakly decreasing: 1,2\n"
+    )
+    assert run(capsys, "orbit", "--theta", "1/2,1,0") == (
+        2, "", "error: weight is not weakly decreasing: 1/2,1,0\n"
+    )
+
+
 def test_degree_cap_errors(capsys):
     code, _, err = run(capsys, "cosets", "--degree", "9", "--ic", "{}", "--jc", "{}")
     assert code == 2
@@ -274,6 +283,13 @@ def test_usage_errors(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "cosets", "--degree", "5")[0] == 2
     assert run(capsys, "verify", "--degrees", "x..y")[0] == 2
+
+
+@pytest.mark.parametrize("text", ["4..x", "x", "4..", "..5", "4..5..6", "1", "5..4"])
+def test_bad_degree_range_is_named(capsys, text):
+    assert run(capsys, "verify", "--degrees", text) == (
+        2, "", f"error: bad degree range: {text!r}\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -336,6 +352,22 @@ def test_cli_import_loads_no_third_party_module():
         "import sys; before = set(sys.modules); import dcbruhat.cli; "
         "print(sorted(m for m in set(sys.modules) - before "
         "if m.split('.')[0] not in sys.stdlib_module_names and m.split('.')[0] != 'dcbruhat'))"
+    )
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-s", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Together they cost about half of the CLI's cold start; the report
+    # records are NamedTuples so that neither is needed.
+    probe = (
+        "import sys; before = set(sys.modules); import dcbruhat.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     )
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))

@@ -2,7 +2,6 @@
 
 import itertools
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -186,7 +185,7 @@ def test_lattice_witness_is_named_only_on_failure():
     ok = verify_case(cases[((2,), (2, 4))])
     assert ok.lattice_witness is None
     assert "lattice" not in ok.notes()
-    bad = replace(ok, lattice_ok=False, lattice_witness=((2, 1, 6, 5, 4, 3), (6, 5, 4, 3, 2, 1)))
+    bad = ok._replace(lattice_ok=False, lattice_witness=((2, 1, 6, 5, 4, 3), (6, 5, 4, 3, 2, 1)))
     assert not bad.passed
     assert bad.notes() == (
         "not a lattice: 2 1 6 5 4 3 and 6 5 4 3 2 1 lack a join or a meet"
