@@ -61,8 +61,11 @@ def _complements(args):
 
 def _emit(text: str, args) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

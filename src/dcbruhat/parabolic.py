@@ -43,18 +43,13 @@ from .symgroup import (
 
 @lru_cache(maxsize=256)
 def parabolic_elements(degree: int, gens: GenSet) -> frozenset[Perm]:
-    """All elements of the subgroup generated by the given simple indices."""
+    """All elements of the subgroup generated by the given simple indices.
+
+    The subgroup is the double coset of the identity with a trivial left
+    factor.
+    """
     check_genset(gens, degree)
-    seen = {identity(degree)}
-    frontier = [identity(degree)]
-    while frontier:
-        w = frontier.pop()
-        for i in gens:
-            x = mult_right(w, i)
-            if x not in seen:
-                seen.add(x)
-                frontier.append(x)
-    return frozenset(seen)
+    return coset_members(identity(degree), frozenset(), gens)
 
 
 class CosetEntry(NamedTuple):
@@ -166,6 +161,22 @@ def _blocks(degree: int, gens: GenSet) -> tuple[int, ...]:
 
 def _factorial_product(sizes) -> int:
     return math.prod(math.factorial(k) for k in sizes)
+
+
+def coset_bound(degree: int, left_gens: GenSet, right_gens: GenSet) -> int:
+    """An upper bound on the double cosets W_I w W_J: degree! / max(|W_I|, |W_J|).
+
+    Each double coset contains the one-sided cosets W_I w and w W_J, so
+    it has at least max(|W_I|, |W_J|) elements.  The bound is exact when
+    either subgroup is trivial.
+
+    >>> coset_bound(4, frozenset({1, 3}), frozenset()), coset_bound(4, frozenset(), frozenset({1, 3}))
+    (6, 6)
+    """
+    return math.factorial(degree) // max(
+        _factorial_product(_blocks(degree, left_gens)),
+        _factorial_product(_blocks(degree, right_gens)),
+    )
 
 
 def _fillings(total: int, room: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -283,21 +294,18 @@ def _margins(
 
     The left genset's blocks of values give the row sums and the right
     genset's blocks of positions the column sums; both gensets must
-    already have passed ``check_genset``.  The number of tables is at
-    most degree! / max(|W_I|, |W_J|), and the call refuses when this
-    bound exceeds ``COSET_CAP``.
+    already have passed ``check_genset``.  The call refuses when
+    ``coset_bound`` exceeds ``COSET_CAP``.
     """
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
-    rows = _blocks(degree, left_gens)
-    cols = _blocks(degree, right_gens)
-    bound = math.factorial(degree) // max(_factorial_product(rows), _factorial_product(cols))
+    bound = coset_bound(degree, left_gens, right_gens)
     if bound > COSET_CAP:
         raise CapExceeded(
             f"degree {degree} with these gensets allows up to {bound} double cosets, "
             f"over the enumeration cap {COSET_CAP}"
         )
-    return rows, cols
+    return _blocks(degree, left_gens), _blocks(degree, right_gens)
 
 
 def double_cosets(degree: int, left_gens: GenSet, right_gens: GenSet) -> Iterator[CosetEntry]:

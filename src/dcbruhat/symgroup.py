@@ -41,7 +41,7 @@ def check_word(word: Sequence[int]) -> Perm:
     """
     w = tuple(word)
     if len(w) < 1 or sorted(w) != list(range(1, len(w) + 1)):
-        raise ValueError(f"not a permutation word: {w!r}")
+        raise ValueError(f"not a permutation word: {format_perm(w)}")
     return w
 
 

@@ -16,7 +16,9 @@ from dcbruhat.cli import ENV_DEGREE_CAP, build_parser, main
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: sha256 of stdout and the exit code for calls whose output is pinned
-#: byte for byte: the catalogue sweep and three catalogued degree-7 pairs.
+#: byte for byte: the catalogue sweep, three catalogued degree-7 pairs,
+#: the degree-6 tightness scan and four weight orbits, the last of them
+#: the generic orbit at degree 7 (5,040 members).
 PINNED_OUTPUTS = [
     (("verify", "--degrees", "4..8"), 1,
      "7c1b4a71850d123c3b784855cfd431b237457d1b1a4ad678f528ef2f8eb21625"),
@@ -40,6 +42,18 @@ PINNED_OUTPUTS = [
      "aab36865b9c8707dc15dc70f3c126223fd86f2ac2dbab7b777abc9ca2f682be0"),
     (("hasse", "--degree", "7", "--ic", "{4}", "--jc", "{1,3}"), 0,
      "579513ed86b6f743303d9f7f4a06bfc9343c2a0523b5bf49eaf9b912608e8437"),
+    (("tight", "--degree", "6"), 0,
+     "dcab0699e665608b2e35a6a264f848512bfe13627388ac07cd230b382305e36e"),
+    (("tight", "--degree", "6", "--format", "json"), 0,
+     "0eb4b5e58ca6c0f7786ea34dcd85e87cd2771382fa24e6586e2726fcefe8f145"),
+    (("orbit", "--theta", "5,4,3,2,1,0", "--format", "dot"), 0,
+     "5f18ad429b25be7d00b5dd4d6ef9a8e42630fb89c33b2b7a16e6fc1fc7b4b0db"),
+    (("orbit", "--theta", "5,4,3,2,1,0", "--format", "json"), 0,
+     "13326ecd3d4a98f56600985b0cc06b02821499e52c1a7ffc532cdb064c17926d"),
+    (("orbit", "--theta", "3,3/2,1/2,1/2,0,-5/3", "--restrict", "{2,4}", "--format", "dot"), 0,
+     "64e2f894fa694a346b0aadc01525d60081a60abfc7980ffa8c8d83527ecb42dd"),
+    (("orbit", "--theta", "6,5,4,3,2,1,0", "--format", "json"), 0,
+     "a07bb9a73590e51efdde2f1539794b3866492963a5eb435cf7fc2d9bdeeeef6d"),
 ]
 
 #: sha256 of stdout and of stderr, and the exit code, for the help and
@@ -136,6 +150,16 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("digraph hasse {")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_output_is_a_domain_error(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x" if where == "missing-directory" else tmp_path
+    code, out, err = run(
+        capsys, "cosets", "--degree", "4", "--ic", "{1}", "--jc", "{}", "--output", str(target),
+    )
+    reason = "No such file or directory" if where == "missing-directory" else "Is a directory"
+    assert (code, out, err) == (2, "", f"error: cannot write {target}: {reason}\n")
 
 
 def test_verify_clean_range(capsys):
@@ -289,6 +313,13 @@ def test_usage_errors(capsys):
 def test_bad_degree_range_is_named(capsys, text):
     assert run(capsys, "verify", "--degrees", text) == (
         2, "", f"error: bad degree range: {text!r}\n"
+    )
+
+
+@pytest.mark.parametrize("word", ["1 1", "0 1", "1 3", "2 3 4"])
+def test_bad_permutation_word_is_shown_in_cli_form(capsys, word):
+    assert run(capsys, "compare", word, "2 1") == (
+        2, "", f"error: not a permutation word: {word}\n"
     )
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcbruhat import weights
+from dcbruhat import poset, weights
+from dcbruhat.parabolic import coset_bound
 from dcbruhat.poset import FinitePoset
 from dcbruhat.symgroup import CapExceeded, compose, full_genset
 from dcbruhat.weights import (
@@ -293,6 +294,11 @@ def test_orbit_lists_distinct_rearrangements():
         assert orbit_size(theta) == len(orbit(theta))
 
 
+def member_bound(theta, gens):
+    """The member cap's bound: cosets of the restriction and theta's stabilizer."""
+    return coset_bound(len(theta), frozenset(gens), stabilizer_genset(theta))
+
+
 def test_member_bound_covers_every_restricted_orbit():
     for degree in range(1, 6):
         thetas = {tuple(sorted(v, reverse=True)) for v in itertools.product((2, 1, 0), repeat=degree)}
@@ -301,9 +307,9 @@ def test_member_bound_covers_every_restricted_orbit():
             for gens in itertools.combinations(range(1, degree), r):
                 for theta in thetas:
                     count = len(weights._rearrangements(theta, gens))
-                    assert weights._member_bound(theta, gens) >= count, (theta, gens)
+                    assert member_bound(theta, gens) >= count, (theta, gens)
                 exact = len(weights._rearrangements(distinct, gens))
-                assert weights._member_bound(distinct, gens) == exact, gens
+                assert member_bound(distinct, gens) == exact, gens
 
 
 def test_orbits_beyond_the_member_cap_are_refused():
@@ -317,7 +323,7 @@ def test_orbits_beyond_the_member_cap_are_refused():
     with pytest.raises(CapExceeded, match="member cap"):
         tight_scan(8, cap=8)
     # Pairs of adjacent positions tie up: 8!/2^4 = 2520 members fit.
-    assert weights._member_bound(weights._integral(generic), {1, 3, 5, 7}) == 2520
+    assert member_bound(weights._integral(generic), {1, 3, 5, 7}) == 2520
 
 
 def test_step_leq_takes_plain_numbers():
@@ -325,3 +331,71 @@ def test_step_leq_takes_plain_numbers():
     assert step_leq(W(Fraction(1, 2), 0), (0, 0.5))
     assert not step_leq(W(1, 0, 0), W(0, 1, 0), frozenset({1}))
     assert not step_leq(W(1, 0), W(1, 1))
+
+
+# --- the two-pass closure, kept as the oracle of the one-pass builder -------
+
+
+def closure_oracle(theta, gens):
+    """Members in increasing lexicographic order, their index, and reachability masks.
+
+    Each member's mask is the union of its step targets' masks, closed
+    in one forward pass; the covers then come from reducing the masks.
+    """
+    members = tuple(weights._rearrangements(theta, gens or ()))
+    index = {mu: i for i, mu in enumerate(members)}
+    up = []
+    for mu in members:
+        mask = 1 << len(up)
+        for a, b in itertools.combinations(range(len(mu)), 2):
+            if mu[a] > mu[b]:
+                nu = list(mu)
+                nu[a], nu[b] = nu[b], nu[a]
+                j = index.get(tuple(nu))
+                if j is not None:
+                    mask |= up[j]
+        up.append(mask)
+    return members, index, up
+
+
+def assert_orbit_matches_closure(theta, gens):
+    t, checked, members, index, covers, up = weights._orbit(theta, gens)
+    assert t == check_dominant(theta) and checked == gens
+    want_members, want_index, want_up = closure_oracle(weights._integral(t), gens)
+    assert tuple(members) == want_members
+    assert index == want_index
+    assert up == want_up
+    reduced = FinitePoset.from_up_masks(want_members, want_up)
+    assert set(reduced.covers) == {(members[i], members[j]) for i, j in poset._pairs(covers)}
+
+
+def test_one_pass_builder_matches_the_closure():
+    for degree in range(1, 6):
+        for theta in dominant_weights((Fraction(2), Fraction(1, 2), Fraction(0)), degree):
+            for gens in restrictions(degree):
+                assert_orbit_matches_closure(theta, gens)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "theta,gens",
+    [(W(*range(5, -1, -1)), None), (W(*range(6, -1, -1)), None),
+     (W(*range(7, -1, -1)), frozenset({1, 3, 5, 7}))],
+    ids=["generic-6", "generic-7", "degree-8-restricted"],
+)
+def test_one_pass_builder_matches_the_closure_on_large_orbits(theta, gens):
+    assert_orbit_matches_closure(theta, gens)
+
+
+def test_orbit_paths_reduce_no_relation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an orbit path reduced a relation to covers")
+
+    monkeypatch.setattr(poset, "hasse_reduction", refuse)
+    monkeypatch.setattr(FinitePoset, "from_up_masks", refuse)
+    with pytest.raises(AssertionError, match="reduced a relation"):
+        FinitePoset.from_relation([0, 1], lambda a, b: a <= b)
+    built = orbit_poset(W(2, 1, 1, 0), frozenset({1, 3}))
+    assert len(built.members) == 4 and built.poset.top() == W(1, 0, 2, 1)
+    assert not is_tight(W(2, 1, 1, 0))[0]
+    assert tight_scan(6).all_match
