@@ -1,10 +1,9 @@
 """
 Strong (Bruhat) order on the symmetric group.
 
-The comparison comes in three forms: the sorted-prefix test ``leq`` on
-one-line words; ``rank_leq`` on rank matrices packed by ``rank_key``,
-for comparing many precomputed permutations; and a subword-based check
-that walks a reduced word, used only as an oracle in tests.  ``covers``
+The comparison comes in two forms: the sorted-prefix test ``leq`` on
+one-line words, and a subword-based check that walks a reduced word,
+used only as an oracle in tests.  ``covers``
 and ``interval`` build the combinatorial structure on top of the
 comparison; ``order_tables`` covers the whole group and is an oracle
 too.
@@ -53,60 +52,6 @@ def leq(u: Perm, v: Perm) -> bool:
             if x > y:
                 return False
     return True
-
-
-@lru_cache(maxsize=None)
-def _rank_layout(degree: int) -> tuple[int, tuple[int, ...], int]:
-    """Bits per row, per-value row increments and guard mask of ``rank_key``."""
-    width = degree.bit_length() + 1
-    ones = [0] * (degree + 1)
-    for x in range(2, degree + 1):
-        ones[x] = ones[x - 1] | 1 << ((x - 2) * width)
-    fields = (degree - 1) ** 2
-    guard = sum(1 << ((f + 1) * width - 1) for f in range(fields))
-    return width * (degree - 1), tuple(ones), guard
-
-
-def rank_key(w: Perm) -> int:
-    """The rank matrix of w packed into one int, one field per entry.
-
-    Entry (i, j) is w[i, j] = #{p <= i : w(p) >= j}.  Row m and column 1
-    are the same for every permutation of degree m, so only 1 <= i < m
-    and 2 <= j <= m are stored.  Each field is wide enough for the value
-    m plus a top guard bit that stays clear; see ``rank_leq``.
-
-    >>> rank_key((1, 2)), rank_key((2, 1))
-    (0, 1)
-    """
-    row_bits, ones, _ = _rank_layout(len(w))
-    key = row = 0
-    for i, x in enumerate(w[:-1]):
-        row += ones[x]
-        key |= row << (i * row_bits)
-    return key
-
-
-def rank_guard(degree: int) -> int:
-    """The guard bits of every field of ``rank_key`` at this degree."""
-    return _rank_layout(degree)[2]
-
-
-def rank_leq(u_key: int, v_key: int, guard: int) -> bool:
-    """Strong order on packed rank matrices: u <= v iff u[i,j] <= v[i,j] everywhere.
-
-    This is the rank-matrix criterion (Bjorner-Brenti, Combinatorics of
-    Coxeter Groups, Thm 2.1.5).  Setting every guard bit of v and
-    subtracting u compares all fields in one subtraction: no field
-    borrows from its neighbour, and a field's guard bit survives exactly
-    when v[i,j] - u[i,j] >= 0.
-
-    >>> g = rank_guard(3)
-    >>> rank_leq(rank_key((1, 3, 2)), rank_key((3, 1, 2)), g)
-    True
-    >>> rank_leq(rank_key((2, 1, 3)), rank_key((1, 3, 2)), g)
-    False
-    """
-    return ((v_key | guard) - u_key) & guard == guard
 
 
 def reduced_word(v: Perm) -> tuple[int, ...]:

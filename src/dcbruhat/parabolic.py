@@ -11,17 +11,20 @@ the left block sizes and whose column sums are the right block sizes
 cosets in Coxeter groups", Discrete Analysis 2018).  Each table yields
 its coset's unique shortest and longest members and its size without
 visiting the group.  The induced order on cosets compares longest
-members, and ``check_interval_property`` confirms against the
+members; ``decompose`` finds its covers among the tables one 2x2 move
+above each table, and ``check_interval_property`` confirms against the
 whole-group order tables that each coset is a full interval.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property, lru_cache
 from operator import sub
 from typing import Iterator, NamedTuple
 
-from .bruhat import order_tables, rank_guard, rank_key
+from .bruhat import order_tables
+from .poset import FinitePoset, _pairs
 from .symgroup import (
     DEFAULT_DEGREE_CAP,
     CapExceeded,
@@ -101,13 +104,9 @@ class DoubleCosetTable(_TableFields):
     @property
     def order(self) -> tuple[tuple[int, int], ...]:
         """The covering pairs as ascending index pairs (lower, upper)."""
-        from .poset import _pairs
-
         return tuple(_pairs(self.cover_masks))
 
     def poset(self):
-        from .poset import FinitePoset
-
         return FinitePoset.from_cover_masks(self.max_reps, self.cover_masks)
 
     def to_json(self) -> str:
@@ -173,10 +172,12 @@ def coset_bound(degree: int, left_gens: GenSet, right_gens: GenSet) -> int:
     >>> coset_bound(4, frozenset({1, 3}), frozenset()), coset_bound(4, frozenset(), frozenset({1, 3}))
     (6, 6)
     """
-    return math.factorial(degree) // max(
-        _factorial_product(_blocks(degree, left_gens)),
-        _factorial_product(_blocks(degree, right_gens)),
-    )
+    return _bound(degree, _blocks(degree, left_gens), _blocks(degree, right_gens))
+
+
+def _bound(degree: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+    """``coset_bound`` from the two gensets' blocks."""
+    return math.factorial(degree) // max(_factorial_product(rows), _factorial_product(cols))
 
 
 def _fillings(total: int, room: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -299,13 +300,14 @@ def _margins(
     """
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
-    bound = coset_bound(degree, left_gens, right_gens)
+    rows, cols = _blocks(degree, left_gens), _blocks(degree, right_gens)
+    bound = _bound(degree, rows, cols)
     if bound > COSET_CAP:
         raise CapExceeded(
             f"degree {degree} with these gensets allows up to {bound} double cosets, "
             f"over the enumeration cap {COSET_CAP}"
         )
-    return _blocks(degree, left_gens), _blocks(degree, right_gens)
+    return rows, cols
 
 
 def double_cosets(degree: int, left_gens: GenSet, right_gens: GenSet) -> Iterator[CosetEntry]:
@@ -347,37 +349,53 @@ def max_representatives(degree: int, left_gens: GenSet, right_gens: GenSet) -> l
 
 
 def decompose(degree: int, left_gens: GenSet, right_gens: GenSet) -> DoubleCosetTable:
-    """Split the group into double cosets and order them.
+    """Split the group into double cosets and order them by one-move steps.
 
-    The coset order compares longest members by their packed rank
-    matrices.  A strictly smaller element of the group order is also
-    lexicographically smaller, so with cosets sorted by longest member
-    only pairs a < b need testing.  Scanning a's up-set in that order, b
-    covers a exactly when it lies above none of a's earlier covers, and
-    a's up-set is the union of its covers' up-sets, so the cosets are
-    processed from the top down.  Only the longest members are built
-    here; ``entries`` adds the shortest members and sizes when read.
+    A move takes one unit from cells (a, b) and (c, d) of a table, with
+    a < c and b < d, and adds one to (a, d) and (c, b): it swaps a value
+    of left block a with a larger one of left block c across right
+    blocks b < d, so the target coset lies above.  Every cover is one
+    reflection away (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+    Ch. 2), and so one move away; a target is a cover when it lies above
+    no other target, the rule ``weights._orbit`` uses for its steps.  A
+    move lands higher in the lexicographic order of longest members,
+    which extends the group order, so walking the cosets from the top
+    down finishes each target's up-set before it is read.  Only the
+    longest members are built here; ``entries`` adds the shortest
+    members and sizes when read.
     """
     left_gens = check_genset(left_gens, degree)
     right_gens = check_genset(right_gens, degree)
     rows, cols = _margins(degree, left_gens, right_gens)
     cosets = sorted((_longest_member(rows, t), t) for t in _tables(rows, cols))
-    guard = rank_guard(degree)
-    keys = [rank_key(w) for w, _ in cosets]
-    raised = [key | guard for key in keys]
+    # tables flattened row by row: cell (a, b) sits at a * width + b
+    width = len(cols)
+    moves = [
+        (a * width + b, c * width + d, a * width + d, c * width + b)
+        for a, c in itertools.combinations(range(len(rows)), 2)
+        for b, d in itertools.combinations(range(width), 2)
+    ]
+    flats = [sum(t, ()) for _, t in cosets]
+    index = {flat: i for i, flat in enumerate(flats)}
     n = len(cosets)
     up = [0] * n
     covers = [0] * n
-    for a in reversed(range(n)):
-        key = keys[a]
-        above = cover = 0
-        for b in range(a + 1, n):
-            # rank_leq(key, keys[b], guard), inlined for the hot loop
-            if not above >> b & 1 and (raised[b] - key) & guard == guard:
-                cover |= 1 << b
-                above |= up[b]
-        covers[a] = cover
-        up[a] = above | 1 << a
+    for i in reversed(range(n)):
+        flat = flats[i]
+        targets = above = 0
+        for p, q, r, s in moves:
+            if flat[p] and flat[q]:
+                step = list(flat)
+                step[p] -= 1
+                step[q] -= 1
+                step[r] += 1
+                step[s] += 1
+                j = index[tuple(step)]
+                bit = 1 << j
+                targets |= bit
+                above |= up[j] ^ bit
+        covers[i] = targets & ~above
+        up[i] = targets | above | 1 << i
     max_reps, tables = zip(*cosets)
     return DoubleCosetTable(degree, left_gens, right_gens, max_reps, tables, tuple(covers))
 

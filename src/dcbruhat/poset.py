@@ -239,9 +239,6 @@ class FinitePoset:
     def leq(self, x: Hashable, y: Hashable) -> bool:
         return bool(self._up[self._index[x]] & (1 << self._index[y]))
 
-    def lt(self, x: Hashable, y: Hashable) -> bool:
-        return x != y and self.leq(x, y)
-
     def upper_covers(self, x: Hashable) -> list[Hashable]:
         return [self.elements[j] for j in _bits(self._adj[self._index[x]])]
 

@@ -334,6 +334,7 @@ def is_tight(theta: Sequence, restriction: GenSet | None = None) -> tuple[bool, 
     theta downward in the lexicographic order.
     """
     t, _, members, _, _, up = _orbit(theta, restriction)
+    del _  # the cover masks, unread here; free them before the dominance masks
     dom = _dominated_masks(members)
     for i in range(len(members) - 1, -1, -1):
         mismatch = up[i] ^ dom[i]

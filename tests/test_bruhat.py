@@ -12,9 +12,6 @@ from dcbruhat.bruhat import (
     leq,
     leq_subword_oracle,
     order_tables,
-    rank_guard,
-    rank_key,
-    rank_leq,
     reduced_word,
 )
 from dcbruhat.symgroup import (
@@ -167,13 +164,6 @@ def test_order_tables_encode_leq():
         bit = (up[index[u]] >> index[v]) & 1
         assert bool(bit) == leq(u, v)
         assert bool((down[index[v]] >> index[u]) & 1) == leq(u, v)
-
-
-def test_packed_rank_comparison_matches_leq_exhaustively():
-    guard = rank_guard(5)
-    keys = {w: rank_key(w) for w in S5}
-    for u, v in itertools.product(S5, repeat=2):
-        assert rank_leq(keys[u], keys[v], guard) == leq(u, v), (u, v)
 
 
 def test_lexicographic_order_extends_strong_order():

@@ -17,8 +17,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: sha256 of stdout and the exit code for calls whose output is pinned
 #: byte for byte: the catalogue sweep, three catalogued degree-7 pairs,
-#: the degree-6 tightness scan and four weight orbits, the last of them
-#: the generic orbit at degree 7 (5,040 members).
+#: the degree-7 whole group (5,040 cosets), the degree-6 tightness scan
+#: and four weight orbits, the last of them the generic orbit at degree 7
+#: (5,040 members).
 PINNED_OUTPUTS = [
     (("verify", "--degrees", "4..8"), 1,
      "7c1b4a71850d123c3b784855cfd431b237457d1b1a4ad678f528ef2f8eb21625"),
@@ -42,6 +43,14 @@ PINNED_OUTPUTS = [
      "aab36865b9c8707dc15dc70f3c126223fd86f2ac2dbab7b777abc9ca2f682be0"),
     (("hasse", "--degree", "7", "--ic", "{4}", "--jc", "{1,3}"), 0,
      "579513ed86b6f743303d9f7f4a06bfc9343c2a0523b5bf49eaf9b912608e8437"),
+    (("cosets", "--degree", "7", "--ic", "{1,2,3,4,5,6}", "--jc", "{1,2,3,4,5,6}"), 0,
+     "c7931e6ff281be8a1f984a9ef1279e3becc84cebfcf96242fbbd20d2a938b0e3"),
+    (("cosets", "--degree", "7", "--ic", "{1,2,3,4,5,6}", "--jc", "{1,2,3,4,5,6}",
+      "--format", "json"), 0,
+     "002cc4543bc54b12e593e3f1de0a4958520e0dbac662ba40745ef1a3cc7c9f1c"),
+    (("hasse", "--degree", "7", "--ic", "{1,2,3,4,5,6}", "--jc", "{1,2,3,4,5,6}",
+      "--format", "json"), 0,
+     "57282518ea95b4fa8aa44a5215302bbdafb7f67641c8fee59db48b1e2a8c2e30"),
     (("tight", "--degree", "6"), 0,
      "dcab0699e665608b2e35a6a264f848512bfe13627388ac07cd230b382305e36e"),
     (("tight", "--degree", "6", "--format", "json"), 0,

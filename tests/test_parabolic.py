@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dcbruhat import parabolic
-from dcbruhat.bruhat import leq, order_tables, rank_guard, rank_key, rank_leq
+from dcbruhat.bruhat import leq, order_tables
 from dcbruhat.parabolic import (
     CosetEntry,
     _blocks,
@@ -160,27 +160,30 @@ def eager_coset_entry(rows, table, group_order):
 
 
 def eager_decompose(degree, I, J):
-    """Entries built eagerly, covers as index pairs, and the element-pair poset."""
+    """Entries built eagerly, covers as index pairs, and the element-pair poset.
+
+    The covers come from comparing every pair of longest members: with
+    cosets sorted by longest member, b covers a exactly when a < b, a's
+    member is below b's, and b lies above none of a's earlier covers.
+    """
     rows, cols = _blocks(degree, I), _blocks(degree, J)
     group_order = math.prod(map(math.factorial, rows)) * math.prod(map(math.factorial, cols))
     entries = sorted(
         (eager_coset_entry(rows, t, group_order) for t in _tables(rows, cols)),
         key=lambda e: e.max_rep,
     )
-    guard = rank_guard(degree)
-    keys = [rank_key(e.max_rep) for e in entries]
+    reps = [e.max_rep for e in entries]
     n = len(entries)
     up = [0] * n
     covers = [[] for _ in range(n)]
     for a in reversed(range(n)):
         above = 0
         for b in range(a + 1, n):
-            if not above >> b & 1 and rank_leq(keys[a], keys[b], guard):
+            if not above >> b & 1 and leq(reps[a], reps[b]):
                 covers[a].append(b)
                 above |= up[b]
         up[a] = above | 1 << a
     order = [(a, b) for a in range(n) for b in covers[a]]
-    reps = [e.max_rep for e in entries]
     poset = FinitePoset(reps, [(reps[a], reps[b]) for a, b in order])
     return entries, order, poset
 
@@ -206,6 +209,20 @@ def test_lazy_table_matches_eager_build_on_every_pair(degree):
 @pytest.mark.slow
 def test_lazy_table_matches_eager_build_on_every_pair_degree6():
     assert_lazy_table_matches_eager_build(6)
+
+
+@pytest.mark.slow
+def test_move_covers_match_all_pairs_oracle_on_whole_group_degree7():
+    _, order, _ = eager_decompose(7, frozenset(), frozenset())
+    assert list(decompose(7, frozenset(), frozenset()).order) == order
+
+
+@pytest.mark.slow
+def test_whole_group_degree8_finishes():
+    table = decompose(8, frozenset(), frozenset())
+    assert len(table.max_reps) == 40320
+    assert len(table.order) == 341136
+    assert table.poset().top() == tuple(range(8, 0, -1))
 
 
 # --- the recursive generators as oracles for the iterative ones -----------
