@@ -10,10 +10,11 @@ the left block sizes and whose column sums are the right block sizes
 (Billey, Konvalinka, Petersen, Slofstra and Tenner, "Parabolic double
 cosets in Coxeter groups", Discrete Analysis 2018).  Each table yields
 its coset's unique shortest and longest members and its size without
-visiting the group.  The induced order on cosets compares longest
-members; ``decompose`` finds its covers among the tables one 2x2 move
-above each table, and ``check_interval_property`` confirms against the
-whole-group order tables that each coset is a full interval.
+visiting the group.  ``decompose`` walks the tables, orders the cosets
+by their longest members and finds each table's covers among its 2x2
+moves; every other reader of the cosets reads its records, and
+``check_interval_property`` confirms against the whole-group order
+tables that each coset is a full interval.
 """
 from __future__ import annotations
 
@@ -120,7 +121,7 @@ class DoubleCosetTable(_TableFields):
                     {"min": list(e.min_rep), "max": list(e.max_rep), "size": e.size}
                     for e in self.entries
                 ],
-                "covers": sorted([i, j] for i, j in self.order),
+                "covers": [[i, j] for i, j in _pairs(self.cover_masks)],
             }
         ) + "\n"
 
@@ -310,30 +311,13 @@ def _margins(
     return rows, cols
 
 
-def double_cosets(degree: int, left_gens: GenSet, right_gens: GenSet) -> Iterator[CosetEntry]:
-    """Every double coset W_I w W_J, one per contingency table, unsorted.
-
-    Nothing enumerates the group, so the work grows with the number of
-    cosets; the call refuses up front when that could exceed
-    ``COSET_CAP`` (see ``_margins``).
-    """
-    rows, cols = _margins(
-        degree, check_genset(left_gens, degree), check_genset(right_gens, degree)
-    )
-    group_order = _factorial_product(rows) * _factorial_product(cols)
-    return (
-        _coset_entry(rows, t, group_order, _longest_member(rows, t))
-        for t in _tables(rows, cols)
-    )
-
-
 def min_representatives(degree: int, left_gens: GenSet, right_gens: GenSet) -> list[Perm]:
     """Shortest double coset members, sorted lexicographically by one-line word.
 
     These are the permutations whose left and right ascents cover the
     two gensets.
     """
-    return sorted(e.min_rep for e in double_cosets(degree, left_gens, right_gens))
+    return sorted(e.min_rep for e in decompose(degree, left_gens, right_gens).entries)
 
 
 def max_representatives(degree: int, left_gens: GenSet, right_gens: GenSet) -> list[Perm]:
@@ -342,60 +326,74 @@ def max_representatives(degree: int, left_gens: GenSet, right_gens: GenSet) -> l
     These are the permutations whose ascents all lie inside the
     complements of the two gensets.
     """
-    rows, cols = _margins(
-        degree, check_genset(left_gens, degree), check_genset(right_gens, degree)
-    )
-    return sorted(_longest_member(rows, t) for t in _tables(rows, cols))
+    return list(decompose(degree, left_gens, right_gens).max_reps)
+
+
+@lru_cache(maxsize=256)
+def _moves(height: int, width: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The 2x2 moves on tables of one shape, flattened row by row.
+
+    Cell (a, b) sits at a * width + b, and entry p lists the moves that
+    take one unit from p = (a, b).  A move (q, r, s, between) also takes
+    one from q = (c, d), with a < c and b < d, adds one to r = (a, d) and
+    s = (c, b), and lists the rectangle's cells other than its corners.
+    """
+    moves = [[] for _ in range(height * width)]
+    for a, c in itertools.combinations(range(height), 2):
+        for b, d in itertools.combinations(range(width), 2):
+            cells = itertools.product(range(a, c + 1), range(b, d + 1))
+            between = tuple(x * width + y for x, y in cells if x not in (a, c) or y not in (b, d))
+            moves[a * width + b].append((c * width + d, a * width + d, c * width + b, between))
+    return tuple(map(tuple, moves))
 
 
 def decompose(degree: int, left_gens: GenSet, right_gens: GenSet) -> DoubleCosetTable:
-    """Split the group into double cosets and order them by one-move steps.
+    """Split the group into double cosets and find their covers table by table.
 
     A move takes one unit from cells (a, b) and (c, d) of a table, with
     a < c and b < d, and adds one to (a, d) and (c, b): it swaps a value
     of left block a with a larger one of left block c across right
     blocks b < d, so the target coset lies above.  Every cover is one
     reflection away (Bjorner-Brenti, Combinatorics of Coxeter Groups,
-    Ch. 2), and so one move away; a target is a cover when it lies above
-    no other target, the rule ``weights._orbit`` uses for its steps.  A
-    move lands higher in the lexicographic order of longest members,
-    which extends the group order, so walking the cosets from the top
-    down finishes each target's up-set before it is read.  Only the
-    longest members are built here; ``entries`` adds the shortest
-    members and sizes when read.
+    Ch. 2), and so one move away.  A move's target is a cover exactly
+    when every cell of the rectangle from (a, b) to (c, d), other than
+    its four corners, is zero: the double-coset form of the rule that a
+    transposition covers when no value lies in between.  So each table's
+    covers are read off that table alone.  Only the longest members are
+    built here; ``entries`` adds the shortest members and sizes when read.
+
+    At degree 4 with I = {2} and J = {1, 3}, table 0's move across rows
+    0 and 2 reaches table 3, but row 1 of that rectangle is not zero, so
+    table 3 lies above table 0 without covering it; tables 1 and 2 do:
+
+    >>> table = decompose(4, frozenset({2}), frozenset({1, 3}))
+    >>> table.tables[0], table.tables[3]
+    (((1, 0), (1, 1), (0, 1)), ((0, 1), (1, 1), (1, 0)))
+    >>> table.cover_masks
+    (6, 8, 8, 0)
     """
     left_gens = check_genset(left_gens, degree)
     right_gens = check_genset(right_gens, degree)
     rows, cols = _margins(degree, left_gens, right_gens)
     cosets = sorted((_longest_member(rows, t), t) for t in _tables(rows, cols))
-    # tables flattened row by row: cell (a, b) sits at a * width + b
-    width = len(cols)
-    moves = [
-        (a * width + b, c * width + d, a * width + d, c * width + b)
-        for a, c in itertools.combinations(range(len(rows)), 2)
-        for b, d in itertools.combinations(range(width), 2)
-    ]
+    moves = _moves(len(rows), len(cols))
     flats = [sum(t, ()) for _, t in cosets]
     index = {flat: i for i, flat in enumerate(flats)}
-    n = len(cosets)
-    up = [0] * n
-    covers = [0] * n
-    for i in reversed(range(n)):
-        flat = flats[i]
-        targets = above = 0
-        for p, q, r, s in moves:
-            if flat[p] and flat[q]:
-                step = list(flat)
-                step[p] -= 1
-                step[q] -= 1
-                step[r] += 1
-                step[s] += 1
-                j = index[tuple(step)]
-                bit = 1 << j
-                targets |= bit
-                above |= up[j] ^ bit
-        covers[i] = targets & ~above
-        up[i] = targets | above | 1 << i
+    covers = []
+    for flat in flats:
+        cell = flat.__getitem__
+        mask = 0
+        for p, held in enumerate(flat):
+            if held:
+                for q, r, s, between in moves[p]:
+                    if flat[q] and not any(map(cell, between)):
+                        step = list(flat)
+                        step[p] -= 1
+                        step[q] -= 1
+                        step[r] += 1
+                        step[s] += 1
+                        mask |= 1 << index[tuple(step)]
+        covers.append(mask)
     max_reps, tables = zip(*cosets)
     return DoubleCosetTable(degree, left_gens, right_gens, max_reps, tables, tuple(covers))
 
@@ -481,7 +479,7 @@ def check_interval_property(degree: int, left_gens: GenSet, right_gens: GenSet) 
     left_gens = check_genset(left_gens, degree)
     right_gens = check_genset(right_gens, degree)
     elements, index, up, down = order_tables(degree)
-    for entry in double_cosets(degree, left_gens, right_gens):
+    for entry in decompose(degree, left_gens, right_gens).entries:
         between = up[index[entry.min_rep]] & down[index[entry.max_rep]]
         members = 0
         for w in coset_members(entry.min_rep, left_gens, right_gens):

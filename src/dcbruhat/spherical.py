@@ -22,6 +22,7 @@ from .poset import (
     LADDER_B,
     LADDER_C,
     LADDER_D,
+    LADDER_TAGS,
     POINT,
     STRETCHED_DIAMOND,
     FinitePoset,
@@ -47,8 +48,6 @@ TAG_GRASSMANNIAN = "grassmannian-pair"
 TAG_CONSECUTIVE = "consecutive-pair"
 TAG_DIAMOND = "diamond"
 TAG_PROJECTIVE = "projective-factor"
-
-LADDER_CASE_TAGS = (LADDER_A, LADDER_B, LADDER_C, LADDER_D)
 
 
 class NoClosedFormBottom(ValueError):
@@ -180,7 +179,7 @@ def predicted_bottom(case: SphericalCase) -> Perm:
     if case.tag == TAG_DIAMOND:
         p, _q = case.norm
         word = _descending(n + 1, n - p + 4) + [2, 1] + _descending(n - p + 3, 3)
-    elif case.tag in LADDER_CASE_TAGS:
+    elif case.tag in LADDER_TAGS:
         i, j = case.norm
         if j <= i:
             word = (
@@ -226,7 +225,7 @@ def matches_family(poset: FinitePoset, shape: ShapeClass) -> bool:
         return poset.is_chain() and (shape.param is None or len(poset) == shape.param)
     if shape.tag == STRETCHED_DIAMOND:
         return len(poset) == 6 and are_isomorphic(poset, shape_template(shape))
-    if shape.tag in LADDER_CASE_TAGS:
+    if shape.tag in LADDER_TAGS:
         if shape.param is not None:
             return are_isomorphic(poset, shape_template(shape))
         m = _ladder_param(shape.tag, len(poset))
@@ -405,7 +404,7 @@ def verify_case(case: SphericalCase) -> CaseResult:
         bottom_ok = None
     height_ok = None
     merge_ok = None
-    if case.tag in LADDER_CASE_TAGS:
+    if case.tag in LADDER_TAGS:
         n = case.degree - 1
         istar, jstar = case.norm
         height_ok = poset.height() <= jstar

@@ -3,6 +3,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,8 +16,11 @@ from dcbruhat import parabolic
 from dcbruhat.bruhat import leq, order_tables
 from dcbruhat.parabolic import (
     CosetEntry,
+    DoubleCosetTable,
     _blocks,
     _fillings,
+    _longest_member,
+    _margins,
     _tables,
     check_interval_property,
     coset_members,
@@ -29,6 +36,7 @@ from dcbruhat.poset import FinitePoset
 from dcbruhat.symgroup import (
     CapExceeded,
     all_permutations,
+    check_genset,
     compose,
     full_genset,
     identity,
@@ -45,6 +53,8 @@ perm6 = st.permutations(tuple(range(1, 7))).map(tuple)
 genset5 = st.frozensets(st.sampled_from(range(1, 6)))
 
 S4 = list(all_permutations(4))
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def subsets(degree):
@@ -223,6 +233,97 @@ def test_whole_group_degree8_finishes():
     assert len(table.max_reps) == 40320
     assert len(table.order) == 341136
     assert table.poset().top() == tuple(range(8, 0, -1))
+
+
+# --- the reachability pass as an oracle for the empty-rectangle rule -------
+
+
+def upmask_decompose(degree, I, J):
+    """The coset table with covers from reachability masks, walked from the top down.
+
+    A table's targets are the tables one move above it, and a target is
+    a cover when it lies above no other target.  A move lands higher in
+    the lexicographic order of longest members, which extends the group
+    order, so walking the cosets from the top down finishes each
+    target's up-set before it is read.
+    """
+    left_gens = check_genset(I, degree)
+    right_gens = check_genset(J, degree)
+    rows, cols = _margins(degree, left_gens, right_gens)
+    cosets = sorted((_longest_member(rows, t), t) for t in _tables(rows, cols))
+    # tables flattened row by row: cell (a, b) sits at a * width + b
+    width = len(cols)
+    moves = [
+        (a * width + b, c * width + d, a * width + d, c * width + b)
+        for a, c in itertools.combinations(range(len(rows)), 2)
+        for b, d in itertools.combinations(range(width), 2)
+    ]
+    flats = [sum(t, ()) for _, t in cosets]
+    index = {flat: i for i, flat in enumerate(flats)}
+    n = len(cosets)
+    up = [0] * n
+    covers = [0] * n
+    for i in reversed(range(n)):
+        flat = flats[i]
+        targets = above = 0
+        for p, q, r, s in moves:
+            if flat[p] and flat[q]:
+                step = list(flat)
+                step[p] -= 1
+                step[q] -= 1
+                step[r] += 1
+                step[s] += 1
+                j = index[tuple(step)]
+                bit = 1 << j
+                targets |= bit
+                above |= up[j] ^ bit
+        covers[i] = targets & ~above
+        up[i] = targets | above | 1 << i
+    max_reps, tables = zip(*cosets)
+    return DoubleCosetTable(degree, left_gens, right_gens, max_reps, tables, tuple(covers))
+
+
+def assert_rectangle_rule_matches_upmask_oracle(degree):
+    for I, J in itertools.product(subsets(degree), repeat=2):
+        assert decompose(degree, I, J) == upmask_decompose(degree, I, J), (I, J)
+
+
+def test_rectangle_rule_matches_upmask_oracle_on_every_pair_degree6():
+    assert_rectangle_rule_matches_upmask_oracle(6)
+
+
+@pytest.mark.slow
+def test_rectangle_rule_matches_upmask_oracle_on_every_pair_degree7():
+    assert_rectangle_rule_matches_upmask_oracle(7)
+
+
+@pytest.mark.slow
+def test_rectangle_rule_matches_upmask_oracle_on_a_degree12_pair():
+    full = full_genset(12)
+    table = decompose(12, full - {5, 10, 11}, frozenset())
+    assert len(table.max_reps) == 33264
+    assert sum(map(int.bit_count, table.cover_masks)) == 180252
+    assert table == upmask_decompose(12, full - {5, 10, 11}, frozenset())
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_whole_group_degree8_peak_memory():
+    # The reachability pass peaked at about 478 MiB here; the
+    # empty-rectangle rule keeps only the cover masks.
+    probe = (
+        "from dcbruhat.parabolic import decompose; "
+        "decompose(8, frozenset(), frozenset()); "
+        "print(next(line.split()[1] for line in open('/proc/self/status') "
+        "if line.startswith('VmHWM:')))"
+    )
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-s", "-c", probe], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 350 * 1024  # kB
 
 
 # --- the recursive generators as oracles for the iterative ones -----------
