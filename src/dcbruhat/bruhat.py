@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 from functools import lru_cache
 
-from .poset import FinitePoset
+from .poset import FinitePoset, _transpose
 from .symgroup import (
     DEFAULT_DEGREE_CAP,
     CapExceeded,
@@ -168,37 +168,15 @@ def order_tables(degree: int) -> tuple[tuple[Perm, ...], dict[Perm, int], list[i
 
     Returns ``(elements, index, up, down)``: elements in lexicographic
     order, their index lookup, and per-element bitmasks of everything
-    weakly above resp. weakly below.  Factorial in size, so it is kept
-    as an oracle for ``check_interval_property`` and the tests.
+    weakly above resp. weakly below, read off the group's
+    ``FinitePoset``.  Factorial in size, so it is kept as an oracle for
+    ``check_interval_property`` and the tests.
     """
     if degree > DEFAULT_DEGREE_CAP:
         raise CapExceeded(f"degree {degree} exceeds the enumeration cap {DEFAULT_DEGREE_CAP}")
     elements = tuple(all_permutations(degree))
-    index = {w: i for i, w in enumerate(elements)}
-    n = len(elements)
-    up = [0] * n
-    down = [0] * n
-    by_length: dict[int, list[Perm]] = {}
-    for w in elements:
-        by_length.setdefault(length(w), []).append(w)
-    # Work downward from the top: up[v] is v itself plus the union of
-    # up[] over the covers of v.
-    for ell in sorted(by_length, reverse=True):
-        for w in by_length[ell]:
-            i = index[w]
-            mask = 1 << i
-            for c in covers(w):
-                mask |= up[index[c]]
-            up[i] = mask
-    for i in range(n):
-        mask = up[i]
-        j = 0
-        while mask:
-            if mask & 1:
-                down[j] |= 1 << i
-            mask >>= 1
-            j += 1
-    return elements, index, up, down
+    group = FinitePoset(elements, ((w, c) for w in elements for c in covers(w)))
+    return elements, group._index, group._up, _transpose(group._up)
 
 
 if __name__ == "__main__":

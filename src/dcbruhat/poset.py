@@ -7,11 +7,12 @@ covering relation and validates it outright (acyclic, transitively
 reduced), and so does ``from_cover_masks`` for covers already held as
 index bitmasks; ``from_relation`` builds the covers from a raw
 comparison instead, and ``from_up_masks`` from a relation already held
-as bitmasks; both reduce through ``hasse_reduction``.  Covers and
-reachability are kept as per-element bitmasks over element indices, so
-an element is hashed once, into the index lookup, and ``leq``, height,
-the lattice check and the exports stay cheap at the sizes we care about
-(a few thousand elements at most).
+as bitmasks; both reduce through ``hasse_reduction``.  Covers, lower
+covers and up-sets are kept as per-element bitmasks over element
+indices, so an element is hashed once, into the index lookup, and
+``leq``, height and the exports stay cheap.  One pass in reverse
+topological order builds the up-sets and finds implied covers; only
+the lattice check needs down-sets, and it transposes the up-sets.
 """
 from __future__ import annotations
 
@@ -72,10 +73,18 @@ def _pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
     return ((i, j) for i, m in enumerate(masks) for j in _bits(m))
 
 
+def _transpose(masks: Sequence[int]) -> list[int]:
+    """The masks of the converse relation: bit i of ``out[j]`` for bit j of ``masks[i]``."""
+    out = [0] * len(masks)
+    for i, j in _pairs(masks):
+        out[j] |= 1 << i
+    return out
+
+
 class FinitePoset:
     """A finite poset, stored as elements plus cover bitmasks over their indices."""
 
-    __slots__ = ("elements", "_index", "_adj", "_radj", "_up", "_down", "_level")
+    __slots__ = ("elements", "_index", "_adj", "_radj", "_up", "_level")
 
     def __init__(self, elements: Sequence[Hashable], covers: Iterable[tuple[Hashable, Hashable]]):
         elts, index = _indexed(elements)
@@ -90,20 +99,27 @@ class FinitePoset:
         self._build(elts, index, adj)
 
     def _build(self, elts: tuple, index: dict, adj: list[int]) -> None:
-        """Check cover masks for cycles and implied covers, then fill every field."""
-        n = len(elts)
-        radj = [0] * n
-        for i, j in _pairs(adj):
-            radj[j] |= 1 << i
+        """Check cover masks for cycles and implied covers, then fill every field.
 
-        # Kahn's algorithm; a leftover node means a cycle.
+        One pass in reverse topological order closes the covers into
+        up-sets.  A cover of i is implied exactly when another cover of
+        i reaches it, so the same pass collects the implied covers.
+        """
+        n = len(elts)
+        radj = _transpose(adj)
+
+        # Kahn's algorithm; a leftover node means a cycle.  A node's
+        # lower covers all come before it, so its level is final when
+        # it leaves the queue.
         indeg = [bin(m).count("1") for m in radj]
         queue = [i for i in range(n) if indeg[i] == 0]
         topo: list[int] = []
+        level = [0] * n
         while queue:
             i = queue.pop()
             topo.append(i)
             for j in _bits(adj[i]):
+                level[j] = max(level[j], level[i] + 1)
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     queue.append(j)
@@ -111,35 +127,23 @@ class FinitePoset:
             raise NotAPartialOrder("covering relation contains a cycle")
 
         up = [0] * n
+        implied = [0] * n
         for i in reversed(topo):
-            mask = 1 << i
+            above = 0
             for j in _bits(adj[i]):
-                mask |= up[j]
-            up[i] = mask
-        down = [0] * n
-        for i in topo:
-            mask = 1 << i
-            for j in _bits(radj[i]):
-                mask |= down[j]
-            down[i] = mask
-
-        # Transitive reducedness: no cover may also be reachable through
-        # an intermediate element.
-        for i, j in _pairs(adj):
-            if up[i] & down[j] & ~(1 << i) & ~(1 << j):
-                raise NotAPartialOrder(f"cover {(elts[i], elts[j])!r} is implied by shorter covers")
-
-        level = [0] * n
-        for i in topo:
-            for j in _bits(adj[i]):
-                level[j] = max(level[j], level[i] + 1)
+                above |= up[j] ^ 1 << j
+            implied[i] = adj[i] & above
+            up[i] = adj[i] | above | 1 << i
+        bad = next(_pairs(implied), None)
+        if bad is not None:
+            i, j = bad
+            raise NotAPartialOrder(f"cover {(elts[i], elts[j])!r} is implied by shorter covers")
 
         self.elements = elts
         self._index = index
         self._adj = adj
         self._radj = radj
         self._up = up
-        self._down = down
         self._level = level
 
     @classmethod
@@ -272,9 +276,8 @@ class FinitePoset:
         return self._level[self._index[x]]
 
     def is_chain(self) -> bool:
-        n = len(self.elements)
-        full = (1 << n) - 1
-        return all((self._up[i] | self._down[i]) == full for i in range(n))
+        """Whether every two elements compare: a longest chain holds them all (or none)."""
+        return self.height() >= len(self.elements) - 1
 
     def is_lattice(self) -> tuple[bool, tuple[Hashable, Hashable] | None]:
         """Check unique joins and meets; returns a witness pair on failure.
@@ -284,7 +287,8 @@ class FinitePoset:
         are scanned as (i, j) with i < j in element order, so the
         witness is the first pair lacking a join or a meet.
         """
-        up, down = self._up, self._down
+        up = self._up
+        down = _transpose(up)
         ups, downs = set(up), set(down)
         n = len(up)
         for i in range(n):

@@ -158,12 +158,13 @@ def test_whole_group_interval_height():
 
 
 def test_order_tables_encode_leq():
-    elements, index, up, down = order_tables(4)
-    assert set(elements) == set(S4)
-    for u, v in itertools.product(S4, repeat=2):
-        bit = (up[index[u]] >> index[v]) & 1
-        assert bool(bit) == leq(u, v)
-        assert bool((down[index[v]] >> index[u]) & 1) == leq(u, v)
+    for degree, group in [(4, S4), (5, S5)]:
+        elements, index, up, down = order_tables(degree)
+        assert set(elements) == set(group)
+        for u, v in itertools.product(group, repeat=2):
+            bit = (up[index[u]] >> index[v]) & 1
+            assert bool(bit) == leq(u, v)
+            assert bool((down[index[v]] >> index[u]) & 1) == leq(u, v)
 
 
 def test_lexicographic_order_extends_strong_order():

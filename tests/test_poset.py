@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -193,9 +194,25 @@ def test_extremes_need_uniqueness():
         fork.top()
 
 
+def all_pairs_comparable(p):
+    """The definition of a chain: every two elements compare, read off ``leq``."""
+    return all(p.leq(x, y) or p.leq(y, x) for x in p.elements for y in p.elements)
+
+
 def test_is_chain():
     assert divisibility(8).is_chain()
     assert not divisibility(12).is_chain()
+    empty, antichain = FinitePoset([], []), FinitePoset(["a", "b"], [])
+    assert empty.is_chain() and not antichain.is_chain()
+    for p in [empty, antichain] + [shape_template(s) for s in ALL_TEMPLATE_SHAPES]:
+        assert p.is_chain() == all_pairs_comparable(p), p
+
+
+@given(dag_closures())
+def test_is_chain_matches_all_pairs_comparable_on_random_dags(closure):
+    up, order = closure
+    p = FinitePoset.from_up_masks(order, up)
+    assert p.is_chain() == all_pairs_comparable(p)
 
 
 def test_is_lattice_with_witness():
@@ -216,16 +233,21 @@ def test_is_lattice_with_witness():
 def seed_is_lattice(p):
     """The original lattice check: count the minimal common upper bounds per pair."""
     n = len(p.elements)
+    down = [0] * n
+    for i, x in enumerate(p.elements):
+        for j, y in enumerate(p.elements):
+            if p.leq(y, x):
+                down[i] |= 1 << j
     for i in range(n):
         for j in range(i + 1, n):
             common_up = p._up[i] & p._up[j]
             minimal = 0
             for k in range(n):
-                if common_up >> k & 1 and not (p._down[k] & common_up & ~(1 << k)):
+                if common_up >> k & 1 and not (down[k] & common_up & ~(1 << k)):
                     minimal |= 1 << k
             if bin(minimal).count("1") != 1:
                 return False, (p.elements[i], p.elements[j])
-            common_down = p._down[i] & p._down[j]
+            common_down = down[i] & down[j]
             maximal = 0
             for k in range(n):
                 if common_down >> k & 1 and not (p._up[k] & common_down & ~(1 << k)):
@@ -308,6 +330,10 @@ def test_from_cover_masks_checks_the_masks():
         FinitePoset.from_cover_masks(["a", "b"], [0b10, 0b01])
     with pytest.raises(NotAPartialOrder, match="implied"):
         FinitePoset.from_cover_masks(["a", "b", "c"], [0b110, 0b100, 0])
+    # Two implied covers, a->c and b->d: the error names the first pair in
+    # index order, although a reverse topological pass meets b->d first.
+    with pytest.raises(NotAPartialOrder, match=re.escape("('a', 'c')")):
+        FinitePoset.from_cover_masks(["a", "b", "c", "d"], [0b0110, 0b1100, 0b1000, 0])
 
 
 def test_templates_are_shared():
