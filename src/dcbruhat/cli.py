@@ -11,9 +11,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import bruhat, parabolic, spherical, weights
 from .symgroup import (
@@ -23,6 +24,9 @@ from .symgroup import (
     parse_genset,
     parse_perm,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 ENV_DEGREE_CAP = "DCBRUHAT_DEGREE_CAP"
 
@@ -165,6 +169,67 @@ def cmd_orbit(args) -> int:
     return 0
 
 
+class Option(NamedTuple):
+    """One command-line argument: ``--flag VALUE``, a switch or a positional.
+
+    ``kind`` is ``int`` or ``str`` for a flag that takes a value,
+    ``bool`` for a switch that takes none; a ``flag`` without leading
+    dashes names a positional argument.
+    """
+
+    flag: str
+    dest: str
+    kind: type = str
+    required: bool = False
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+def _common(formats: tuple[str, ...], default_format: str) -> tuple[Option, ...]:
+    return (
+        Option("--format", "format", default=default_format, choices=formats),
+        Option("--output", "output", help="write to a file instead of stdout"),
+        Option("--degree-cap", "degree_cap", int,
+               help=f"override the degree cap (env {ENV_DEGREE_CAP})"),
+    )
+
+
+_DEGREE = Option("--degree", "degree", int, required=True)
+
+#: Each subcommand's help line, handler and options, in help order.
+#: ``build_parser`` and ``read_argv`` both read this table.
+COMMANDS = {
+    "cosets": ("double coset table for one pair", cmd_cosets, (
+        _DEGREE,
+        Option("--ic", "ic", required=True, help="left genset complement, e.g. {2}"),
+        Option("--jc", "jc", required=True, help="right genset complement, e.g. {2,4}"),
+    ) + _common(("json", "table"), "table")),
+    "hasse": ("poset of longest representatives", cmd_hasse, (
+        _DEGREE,
+        Option("--ic", "ic", required=True),
+        Option("--jc", "jc", required=True),
+    ) + _common(("dot", "json"), "dot")),
+    "verify": ("run the catalogue checks", cmd_verify, (
+        Option("--degrees", "degrees", required=True, help="a degree or range, e.g. 4..6"),
+    ) + _common(("table", "json"), "table")),
+    "tight": ("orbit tightness scan for one degree", cmd_tight,
+              (_DEGREE,) + _common(("table", "json"), "table")),
+    "compare": ("compare two permutations in strong order", cmd_compare, (
+        Option("first", "first", required=True),
+        Option("second", "second", required=True),
+        Option("--oracle", "oracle", bool, default=False,
+               help="use the slow subword check instead of the prefix test"),
+        Option("--output", "output"),
+    )),
+    "orbit": ("weight orbit poset", cmd_orbit, (
+        Option("--theta", "theta", required=True, help="dominant weight, e.g. 2,1,1,0"),
+        Option("--restrict", "restrict",
+               help="genset the orbit members must respect, e.g. {1,3}"),
+    ) + _common(("dot", "json", "table"), "table")),
+}
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The argument parser, with every subcommand's arguments or only command's.
 
@@ -172,74 +237,80 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     and the invalid-choice error do not depend on command; parsing one
     subcommand's command line needs only that subcommand's arguments.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dcbruhat",
         description="Double coset posets of the symmetric group under strong order.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, formats, default_format):
-        p.add_argument("--format", choices=formats, default=default_format)
-        p.add_argument("--output", help="write to a file instead of stdout")
-        p.add_argument("--degree-cap", type=int, default=None,
-                       help=f"override the degree cap (env {ENV_DEGREE_CAP})")
-
-    p = sub.add_parser("cosets", help="double coset table for one pair")
-    if command in (None, "cosets"):
-        p.add_argument("--degree", type=int, required=True)
-        p.add_argument("--ic", required=True, help="left genset complement, e.g. {2}")
-        p.add_argument("--jc", required=True, help="right genset complement, e.g. {2,4}")
-        add_common(p, ("json", "table"), "table")
-        p.set_defaults(func=cmd_cosets)
-
-    p = sub.add_parser("hasse", help="poset of longest representatives")
-    if command in (None, "hasse"):
-        p.add_argument("--degree", type=int, required=True)
-        p.add_argument("--ic", required=True)
-        p.add_argument("--jc", required=True)
-        add_common(p, ("dot", "json"), "dot")
-        p.set_defaults(func=cmd_hasse)
-
-    p = sub.add_parser("verify", help="run the catalogue checks")
-    if command in (None, "verify"):
-        p.add_argument("--degrees", required=True, help="a degree or range, e.g. 4..6")
-        add_common(p, ("table", "json"), "table")
-        p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("tight", help="orbit tightness scan for one degree")
-    if command in (None, "tight"):
-        p.add_argument("--degree", type=int, required=True)
-        add_common(p, ("table", "json"), "table")
-        p.set_defaults(func=cmd_tight)
-
-    p = sub.add_parser("compare", help="compare two permutations in strong order")
-    if command in (None, "compare"):
-        p.add_argument("first")
-        p.add_argument("second")
-        p.add_argument("--oracle", action="store_true",
-                       help="use the slow subword check instead of the prefix test")
-        p.add_argument("--output")
-        p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("orbit", help="weight orbit poset")
-    if command in (None, "orbit"):
-        p.add_argument("--theta", required=True, help="dominant weight, e.g. 2,1,1,0")
-        p.add_argument("--restrict", default=None,
-                       help="genset the orbit members must respect, e.g. {1,3}")
-        add_common(p, ("dot", "json", "table"), "table")
-        p.set_defaults(func=cmd_orbit)
-
+    for name, (help_line, func, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command not in (None, name):
+            continue
+        for opt in options:
+            kwargs = {"help": opt.help}
+            if opt.kind is bool:
+                kwargs["action"] = "store_true"
+            else:
+                kwargs.update(type=int if opt.kind is int else None,
+                              default=opt.default, choices=opt.choices)
+            if opt.flag.startswith("-"):
+                kwargs.update(dest=opt.dest, required=opt.required)
+            p.add_argument(opt.flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
+
+
+def read_argv(argv) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for well-formed calls.
+
+    Takes ``COMMAND --flag VALUE ...`` with full flag spellings, each
+    flag at most once and every required one present, no value starting
+    with ``-``, int values that ``int()`` accepts and a ``--format``
+    among its choices.  Returns None for anything else (help, switches,
+    positionals, abbreviations, ``--flag=VALUE``, usage errors), which
+    ``main`` hands to argparse for its own messages and exit codes.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    valued = {
+        opt.flag: opt for opt in options if opt.flag.startswith("--") and opt.kind is not bool
+    }
+    words = argv[1:]
+    if len(words) % 2:
+        return None
+    values = {"command": argv[0], "func": func}
+    values.update((opt.dest, opt.default) for opt in options)
+    seen = set()
+    for flag, value in zip(words[::2], words[1::2]):
+        opt = valued.get(flag)
+        if opt is None or opt.dest in seen or value.startswith("-"):
+            return None
+        if opt.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif opt.choices is not None and value not in opt.choices:
+            return None
+        values[opt.dest] = value
+        seen.add(opt.dest)
+    if any(opt.required and opt.dest not in seen for opt in options):
+        return None
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except (ValueError, CapExceeded) as exc:

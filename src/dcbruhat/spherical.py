@@ -12,6 +12,7 @@ one-line words by the longest element.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -143,18 +144,16 @@ def spherical_pairs(degree: int) -> list[SphericalCase]:
     indices = range(1, n + 1)
     cases: list[SphericalCase] = []
     point = ShapeClass(POINT)
+    every = [jc for r in range(n + 1) for jc in combinations(indices, r)]
+    # Away from the two ends, _classify catalogues right complements of
+    # one or two indices only.
+    one_or_two = [jc for r in (1, 2) for jc in combinations(indices, r)]
 
-    def subsets():
-        for mask in range(1 << n):
-            yield tuple(i for i in indices if mask >> (i - 1) & 1)
-
-    for jc in subsets():
+    for jc in every:
         cases.append(SphericalCase(degree, (), jc, TAG_TRIVIAL, point))
     for i in indices:
         cases.append(SphericalCase(degree, (i,), (), TAG_TRIVIAL, point))
-        for jc in subsets():
-            if not jc:
-                continue
+        for jc in every[1:] if i in (1, n) else one_or_two:
             hit = _classify(degree, i, jc)
             if hit is None:
                 continue

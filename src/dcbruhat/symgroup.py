@@ -19,8 +19,12 @@ Text formats, shared by the CLI and the serializers:
 from __future__ import annotations
 
 import itertools
-from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
+
+try:
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter built without the C accelerator
+    from json.encoder import encode_basestring_ascii
 
 Perm = tuple[int, ...]
 GenSet = frozenset[int]
@@ -255,7 +259,10 @@ def json_text(obj) -> str:
 
     With ``indent`` set the standard library encodes in pure Python;
     this writer dispatches on exact types and escapes strings with the
-    C helper.  It accepts only what the reports emit (dicts with string
+    C helper ``_json.encode_basestring_ascii``, the very function
+    ``json.encoder`` re-exports, so importing it does not load the
+    ``json`` package (``json.encoder``'s copy serves where ``_json`` is
+    missing).  It accepts only what the reports emit (dicts with string
     keys, lists, strings, ints, bools and None) and raises ``TypeError``
     on anything else, floats and tuples included, so its output cannot
     drift from the standard encoder's.

@@ -26,6 +26,7 @@ from dcbruhat.spherical import (
     alt_bottom_length,
     build_xplus_poset,
     spherical_pairs,
+    verify_case,
     verify_theorem,
 )
 from dcbruhat.symgroup import all_permutations, full_genset, longest_element
@@ -139,13 +140,13 @@ def test_05_ladder_height_and_merge(sweep):
     assert ok, f"height bound fails for {len(bad)} catalogued pairs: {detail}"
 
 
-def exact_ladder_parameters(reports):
+def exact_ladder_parameters(rows):
     """The ladder rows and those whose shape or height misses the closed forms.
 
     Shapes are compared in family form, since the one-rung a-ladder is
     classified as the stretched diamond.
     """
-    rows = [row for report in reports for row in report.rows if row.case.tag in LADDER_TAGS]
+    rows = [row for row in rows if row.case.tag in LADDER_TAGS]
     bad = []
     for row in rows:
         m, height = LADDER_PARAMETERS[row.case.tag](row.case.degree - 1, *row.case.norm)
@@ -158,16 +159,54 @@ def exact_ladder_parameters(reports):
 
 def test_12_exact_ladder_parameters(sweep):
     reports, _ = sweep
-    rows, bad = exact_ladder_parameters(reports.values())
+    rows, bad = exact_ladder_parameters(row for report in reports.values() for row in report.rows)
     ok = bool(rows) and not bad
     assert verdict(12, "exact-ladder-parameters", ok), "; ".join(bad)
 
 
 @pytest.mark.slow
 def test_12_exact_ladder_parameters_degrees_8_to_11():
-    rows, bad = exact_ladder_parameters(verify_theorem(d) for d in (8, 9, 10, 11))
+    rows, bad = exact_ladder_parameters(
+        row for d in (8, 9, 10, 11) for row in verify_theorem(d).rows
+    )
     ok = bool(rows) and not bad
     assert verdict(12, "exact-ladder-parameters-8-to-11", ok), "; ".join(bad)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("degree,height_only", [(16, 72), (17, 84)])
+def test_catalogue_sweep_at_degrees_16_and_17(degree, height_only):
+    """Checks 2, 3, 4 and 12 on every catalogued pair, one case at a time.
+
+    Only failing and ladder rows are kept, so memory stays flat over
+    the 99,112 cases of degree 16 and the 197,548 of degree 17.  The
+    failures must be exactly the a-ladders, failing the height bound
+    of check 5 and nothing else.
+    """
+    lattice = shape = bottom = True
+    failed, ladders = [], []
+    for case in spherical_pairs(degree):
+        row = verify_case(case)
+        lattice = lattice and row.lattice_ok
+        shape = shape and row.shape_ok
+        if case.tag in CLOSED_FORM_TAGS:
+            bottom = bottom and row.bottom_ok
+        if not row.passed:
+            failed.append(row)
+        if case.tag in LADDER_TAGS:
+            ladders.append(row)
+    rows, bad = exact_ladder_parameters(ladders)
+    assert verdict(2, f"lattice-for-all-spherical-pairs-degree-{degree}", lattice)
+    assert verdict(3, f"shape-classification-degree-{degree}", shape)
+    assert verdict(4, f"bottom-element-formulas-degree-{degree}", bottom)
+    exact = bool(rows) and not bad
+    assert verdict(12, f"exact-ladder-parameters-degree-{degree}", exact), "; ".join(bad)
+    ladder_a = [row for row in ladders if row.case.tag == "ladder-a"]
+    assert failed == ladder_a
+    assert len(failed) == height_only
+    for row in failed:
+        assert row.height_ok is False
+        assert row.bounds_ok and row.bottom_ok and row.merge_ok
 
 
 def test_06_interval_property():

@@ -9,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dcbruhat import parabolic, spherical, weights
-from dcbruhat.cli import ENV_DEGREE_CAP, build_parser, main
+from dcbruhat.cli import COMMANDS, ENV_DEGREE_CAP, build_parser, main, read_argv
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -67,8 +69,12 @@ PINNED_OUTPUTS = [
 
 #: sha256 of stdout and of stderr, and the exit code, for the help and
 #: usage-error texts at an 80-column width (argparse's wording as of
-#: Python 3.11), so that building only one subcommand's arguments per
-#: call cannot change them.
+#: Python 3.11), so that neither building only one subcommand's
+#: arguments per call nor the direct reader, which leaves every such
+#: call to argparse, can change them.  The entries after ``cosets
+#: --degree`` are calls only argparse reads: a bad int, a bad choice, a
+#: missing flag, a stray word, an ambiguous abbreviation, a value
+#: starting with ``-``, ``-h``, a missing positional and ``--``.
 PINNED_HELP = [
     (("--help",), 0,
      "8f4eed0649734a2994b50bb64a5cf28842f17a875562cefd1d98dab992b4ea95",
@@ -100,6 +106,39 @@ PINNED_HELP = [
     (("cosets", "--degree"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "58f73fa8be3e9bec75e89f47f4fda870c69aba4a0c9c5d7c911942108d370e6a"),
+    (("cosets", "--degree", "x", "--ic", "{3}", "--jc", "{1,4}"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "750c955bd6033a56c72f47797215a135b83f49e3ccd6caafbc8b7e65a6644427"),
+    (("cosets", "--degree", "7", "--ic", "{3}", "--jc", "{1,4}", "--format", "svg"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "0ff806b2647e0c37f68435068d021ccd14d181675e080fb99fb7bf6b9ef0b355"),
+    (("hasse", "--degree", "7", "--ic", "{3}"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "a2ff48f4c84980667664fe59dec1d4a94b5e8759461893536bb2d10aa05c6ab0"),
+    (("cosets", "--degree", "7", "--ic", "{3}", "--jc", "{1,4}", "stray"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "3138af1040839aa23cc3beed8fd93a128e813e144c9c7d7e797aac51913ceaa6"),
+    (("cosets", "--d", "7", "--ic", "{3}", "--jc", "{1,4}"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "5259c4226392ed3316b743acef702c9f8e928e993c19e0ff4288f72bf59d9792"),
+    (("orbit", "--theta", "-1,0"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "3b3c47e4a7bf4bda0d00b25a81f80a52c710a56168a764d32c772768cc62642b"),
+    (("verify", "--degrees", "4..5", "--degree-cap", "x"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "b82e4a55f94f566c34697560c72a53f2693e9d15c21a00c81c519427511a33c6"),
+    (("tight", "--degree", "-3"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "8c1359b4fdb490a16384fa874dcd50a20e4e08db05a1a13be7ae490ae4784a9b"),
+    (("hasse", "-h"), 0,
+     "afad8fbd3253585e1c98836b5e915e67d16cf04b31d4b031026a2aa279246c39",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("compare", "2 1 3"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "b68a62303271ce43a10bab3e2db7d29a451db18fc133b9ba68a58aefe448490f"),
+    (("cosets", "--", "--degree", "7"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "242acf595658ec412fd485066a82adda295c06b7c18a01fc98642a27990e1e4e"),
 ]
 
 #: Valid command lines covering every subcommand and every argument.
@@ -366,6 +405,85 @@ def test_one_subcommand_parser_lacks_the_other_arguments(capsys):
     assert "unrecognized arguments: --degree 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=lambda argv: argv[0])
+def test_reader_reads_valid_argvs_like_argparse(argv):
+    got = read_argv(argv)
+    if argv[0] == "compare":
+        assert got is None  # positionals and switches are argparse's
+    else:
+        assert vars(got) == vars(build_parser().parse_args(argv))
+
+
+#: Values the reader must read as argparse does, by option kind.
+GOOD_VALUES = {
+    int: ["7", "+5", " 6 ", "06", "1_0", "\u0667"],
+    str: ["{3}", "{1,4}", "{}", "2,1,1,0", "4..6", "out.txt", "", "a=b", "2 1 3", "x-y"],
+}
+#: Values that are bad for some or all options: bad ints, bad choices,
+#: values starting with ``-``.
+TRICKY_VALUES = ["x", "7.5", "", "-3", "-1,0", "-", "--", "-h", "svg", "dot", "table"]
+#: Words that make a call malformed or leave it to argparse.
+TRICKY_WORDS = [
+    "stray", "--", "-h", "--help", "--deg", "--d", "--form", "--degree-c",
+    "--degree=7", "--format=json", "--oracle",
+]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv and whether it is well formed in the reader's sense.
+
+    Well formed: an option-only subcommand, each of its flags at most
+    once in full spelling, each required one present, each value one
+    of its option's good values (or, for a plain str option, any value
+    not starting with ``-``) and no other word.
+    """
+    def rarely():
+        return draw(st.integers(0, 4)) == 4
+
+    command = draw(st.sampled_from(sorted(COMMANDS) + ["bogus"]))
+    options = COMMANDS[command][2] if command in COMMANDS else ()
+    well_formed = command in COMMANDS
+    pairs = []
+    for opt in options:
+        valued = opt.flag.startswith("--") and opt.kind is not bool
+        if not valued or (rarely() if opt.required else draw(st.booleans())):
+            well_formed = well_formed and not opt.required
+            continue
+        good = list(opt.choices or GOOD_VALUES[opt.kind])
+        if rarely():
+            value = draw(st.sampled_from(TRICKY_VALUES))
+            free = opt.kind is str and not opt.choices and not value.startswith("-")
+            well_formed = well_formed and (value in good or free)
+        else:
+            value = draw(st.sampled_from(good))
+        pairs.append([opt.flag, value])
+    pairs = draw(st.permutations(pairs))
+    if pairs and rarely():
+        pairs.append(list(draw(st.sampled_from(pairs))))  # a duplicated flag
+        well_formed = False
+    words = [word for pair in pairs for word in pair]
+    while rarely():
+        word = draw(st.sampled_from(TRICKY_WORDS + TRICKY_VALUES))
+        words.insert(draw(st.integers(0, len(words))), word)
+        well_formed = False
+    return [command] + words, well_formed
+
+
+@settings(max_examples=400)
+@given(command_lines())
+@example((["cosets", "--degree", "7", "--ic", "{3}", "--jc", "{1,4}", "--format", "dot"], False))
+@example((["hasse", "--deg", "7", "--ic", "{3}", "--jc", "{1,4}"], False))
+@example((["tight", "--degree", "-3"], False))
+@example((["tight", "--degree", "5", "--degree", "6"], False))
+def test_reader_declines_or_agrees_with_argparse(case):
+    argv, well_formed = case
+    got = read_argv(argv)
+    assert (got is not None) == well_formed, argv
+    if got is not None:
+        assert vars(got) == vars(build_parser().parse_args(argv)), argv
+
+
 def test_report_json_is_the_standard_encoding():
     """Every report document of degrees 4 to 8 equals json.dumps of its own data."""
     def assert_standard(text):
@@ -385,45 +503,61 @@ def test_report_json_is_the_standard_encoding():
     assert_standard(built.poset.to_json(label=weights.format_weight))
 
 
-def test_cli_import_loads_no_third_party_module():
-    # The interpreter's own site hooks may load packages before any
-    # code runs, so only modules new after the import count.
-    probe = (
-        "import sys; before = set(sys.modules); import dcbruhat.cli; "
-        "print(sorted(m for m in set(sys.modules) - before "
-        "if m.split('.')[0] not in sys.stdlib_module_names and m.split('.')[0] != 'dcbruhat'))"
-    )
+def run_python(*args, cwd=None) -> str:
+    """Stdout of a fresh ``python -s`` run with ``src`` first on PYTHONPATH."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
     done = subprocess.run(
-        [sys.executable, "-s", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-s", *args], env=env, cwd=cwd, capture_output=True, text=True,
+        timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def newly_loaded(code, cwd=None) -> set[str]:
+    """The modules a fresh interpreter loads while it runs code.
+
+    The interpreter's own site hooks may load packages before any code
+    runs, so only modules new after that count.
+    """
+    probe = (
+        "import sys; before = set(sys.modules); "
+        f"{code}; print(*sorted(set(sys.modules) - before), file=sys.__stdout__)"
+    )
+    return set(run_python("-c", probe, cwd=cwd).split())
+
+
+def test_cli_import_loads_no_third_party_module():
+    loaded = newly_loaded("import dcbruhat.cli")
+    assert "dcbruhat.cli" in loaded
+    top = {m.split(".")[0] for m in loaded}
+    assert sorted(top - set(sys.stdlib_module_names) - {"dcbruhat"}) == []
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # Together they cost about half of the CLI's cold start; the report
     # records are NamedTuples so that neither is needed.
-    probe = (
-        "import sys; before = set(sys.modules); import dcbruhat.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    assert {"dataclasses", "inspect"} & newly_loaded("import dcbruhat.cli") == set()
+
+
+def test_cli_import_loads_neither_argparse_gettext_nor_json():
+    # argparse with gettext, and the json package, each cost a few ms of
+    # every CLI start: argparse is imported only for help and usage
+    # errors, and json_text escapes strings with _json's helper.
+    loaded = newly_loaded("import dcbruhat.cli")
+    assert {"argparse", "gettext", "json"} & loaded == set()
+
+
+def test_option_only_calls_do_not_load_argparse(tmp_path):
+    argvs = [argv for argv in VALID_ARGVS if argv[0] != "compare"]
+    code = (
+        "import os, dcbruhat.cli; sys.stdout = open(os.devnull, 'w'); "
+        f"codes = [dcbruhat.cli.main(argv) for argv in {argvs!r}]; "
+        "assert all(code in (0, 1) for code in codes), codes"
     )
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
-    done = subprocess.run(
-        [sys.executable, "-s", "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert "argparse" not in newly_loaded(code, cwd=tmp_path)
 
 
 def test_module_entry_point_runs_the_cli():
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
-    done = subprocess.run(
-        [sys.executable, "-m", "dcbruhat", "compare", "2 1 3", "3 1 2"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "true\n"
+    assert run_python("-m", "dcbruhat", "compare", "2 1 3", "3 1 2") == "true\n"

@@ -11,6 +11,7 @@ from dcbruhat.poset import UNRECOGNIZED, FinitePoset, ShapeClass, classify_shape
 from dcbruhat.spherical import (
     NoClosedFormBottom,
     SphericalCase,
+    _classify,
     alt_bottom_length,
     build_xplus_poset,
     matches_family,
@@ -32,6 +33,27 @@ def test_catalogue_sizes():
     assert len(spherical_pairs(5)) == 64
     assert len(spherical_pairs(6)) == 134
     assert len(spherical_pairs(7)) == 262
+
+
+def all_subsets_pairs(degree):
+    """``spherical_pairs`` as first written: every right complement for every index."""
+    n = degree - 1
+    point = ShapeClass("point")
+    subsets = [tuple(i for i in range(1, n + 1) if mask >> (i - 1) & 1) for mask in range(1 << n)]
+    cases = [SphericalCase(degree, (), jc, "trivial", point) for jc in subsets]
+    for i in range(1, n + 1):
+        cases.append(SphericalCase(degree, (i,), (), "trivial", point))
+        for jc in subsets[1:]:
+            hit = _classify(degree, i, jc)
+            if hit is not None:
+                cases.append(SphericalCase(degree, (i,), jc, *hit))
+    cases.sort(key=lambda c: (c.i_complement, c.j_complement))
+    return cases
+
+
+def test_spherical_pairs_matches_the_all_subsets_oracle():
+    for degree in range(2, 12):
+        assert spherical_pairs(degree) == all_subsets_pairs(degree), degree
 
 
 def test_trivial_rows():
