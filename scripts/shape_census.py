@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Tabulate how often each poset shape occurs across the catalogue.
 
-For each degree, brute-force every catalogued pair, classify the
-resulting poset, and print a census.  A disagreement between the
-predicted family and the classification is flagged loudly; the height
-column records the largest height seen per shape.
+For each degree, read the catalogue sweep's rows and print a census of
+the classified shapes.  A disagreement between the predicted family and
+the classification is flagged loudly; the height column records the
+largest height seen per shape.
 """
 import argparse
 from collections import Counter, defaultdict
 
-from dcbruhat.poset import classify_shape
-from dcbruhat.spherical import build_xplus_poset, shape_in_family, spherical_pairs
+from dcbruhat.spherical import verify_theorem
 
 
 def main() -> int:
@@ -25,13 +24,12 @@ def main() -> int:
         counts: Counter = Counter()
         tallest: dict = defaultdict(int)
         mismatches = []
-        for case in spherical_pairs(degree):
-            p = build_xplus_poset(degree, case.i_complement, case.j_complement)
-            shape = classify_shape(p)
-            counts[str(shape)] += 1
-            tallest[str(shape)] = max(tallest[str(shape)], p.height())
-            if not shape_in_family(shape, case.predicted_shape):
-                mismatches.append((case.key(), case.tag, str(shape)))
+        for row in verify_theorem(degree).rows:
+            shape = str(row.actual_shape)
+            counts[shape] += 1
+            tallest[shape] = max(tallest[shape], row.height)
+            if not row.shape_ok:
+                mismatches.append((row.case.key(), row.case.tag, shape))
         print(f"degree {degree}: {sum(counts.values())} pairs")
         for name in sorted(counts):
             print(f"  {name:<22} x{counts[name]:<4} tallest {tallest[name]}")

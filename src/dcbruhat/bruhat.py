@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from .poset import FinitePoset, _transpose
 from .symgroup import (
-    DEFAULT_DEGREE_CAP,
     CapExceeded,
     Perm,
     all_permutations,
@@ -172,8 +171,6 @@ def order_tables(degree: int) -> tuple[tuple[Perm, ...], dict[Perm, int], list[i
     ``FinitePoset``.  Factorial in size, so it is kept as an oracle for
     ``check_interval_property`` and the tests.
     """
-    if degree > DEFAULT_DEGREE_CAP:
-        raise CapExceeded(f"degree {degree} exceeds the enumeration cap {DEFAULT_DEGREE_CAP}")
     elements = tuple(all_permutations(degree))
     group = FinitePoset(elements, ((w, c) for w in elements for c in covers(w)))
     return elements, group._index, group._up, _transpose(group._up)

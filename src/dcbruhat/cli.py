@@ -20,6 +20,7 @@ from . import bruhat, parabolic, spherical, weights
 from .symgroup import (
     DEFAULT_DEGREE_CAP,
     CapExceeded,
+    format_perm,
     full_genset,
     parse_genset,
     parse_perm,
@@ -91,12 +92,7 @@ def cmd_cosets(args) -> int:
     ic, jc = _complements(args)
     full = full_genset(degree)
     table = parabolic.decompose(degree, full - ic, full - jc)
-    if args.format == "json":
-        _emit(table.to_json(), args)
-    elif args.format == "table":
-        _emit(table.to_table(), args)
-    else:
-        raise ValueError("cosets supports formats: json, table")
+    _emit(table.to_json() if args.format == "json" else table.to_table(), args)
     return 0
 
 
@@ -105,11 +101,9 @@ def cmd_hasse(args) -> int:
     ic, jc = _complements(args)
     poset = spherical.build_xplus_poset(degree, ic, jc)
     if args.format == "dot":
-        _emit(poset.to_dot(label=lambda w: " ".join(str(x) for x in w)), args)
-    elif args.format == "json":
-        _emit(poset.to_json(label=list), args)
+        _emit(poset.to_dot(label=format_perm), args)
     else:
-        raise ValueError("hasse supports formats: dot, json")
+        _emit(poset.to_json(label=list), args)
     return 0
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import sub
 from typing import Iterator, NamedTuple
 
@@ -64,8 +64,15 @@ class CosetEntry(NamedTuple):
     size: int
 
 
-class _TableFields(NamedTuple):
-    """The stored fields of a ``DoubleCosetTable``."""
+class DoubleCosetTable(NamedTuple):
+    """The full decomposition for one (degree, left, right) triple.
+
+    Cosets are indexed in increasing order of their longest members,
+    ``max_reps``.  ``tables`` holds each coset's contingency table, and
+    bit j of ``cover_masks[i]`` says that coset j covers coset i.  The
+    shortest members and sizes in ``entries`` are built from the tables
+    on each read, so bind them to a name when they are needed twice.
+    """
 
     degree: int
     left_gens: GenSet
@@ -74,25 +81,7 @@ class _TableFields(NamedTuple):
     tables: tuple[tuple[tuple[int, ...], ...], ...]
     cover_masks: tuple[int, ...]
 
-
-class DoubleCosetTable(_TableFields):
-    """The full decomposition for one (degree, left, right) triple.
-
-    Cosets are indexed in increasing order of their longest members,
-    ``max_reps``.  ``tables`` holds each coset's contingency table, and
-    bit j of ``cover_masks[i]`` says that coset j covers coset i.  The
-    shortest members and sizes in ``entries`` are built from the tables
-    on first read.
-
-    Unlike the other records this subclass keeps an instance
-    ``__dict__``, where ``cached_property`` stores ``entries``; it
-    refuses every other attribute assignment, as the fields do.
-    """
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: DoubleCosetTable is immutable")
-
-    @cached_property
+    @property
     def entries(self) -> tuple[CosetEntry, ...]:
         """Each coset's shortest member, longest member and size, in index order."""
         rows = _blocks(self.degree, self.left_gens)
@@ -126,16 +115,17 @@ class DoubleCosetTable(_TableFields):
         ) + "\n"
 
     def to_table(self) -> str:
+        entries = self.entries
         head = (
             f"degree {self.degree}  "
             f"I={format_genset(self.left_gens)}  "
             f"J={format_genset(self.right_gens)}  "
-            f"cosets={len(self.entries)}"
+            f"cosets={len(entries)}"
         )
         lines = [head, ""]
-        width = max(len(format_perm(e.min_rep)) for e in self.entries)
+        width = max(len(format_perm(e.min_rep)) for e in entries)
         lines.append(f"{'min'.ljust(width)}  {'max'.ljust(width)}  size")
-        for e in self.entries:
+        for e in entries:
             lines.append(
                 f"{format_perm(e.min_rep).ljust(width)}  "
                 f"{format_perm(e.max_rep).ljust(width)}  {e.size}"
@@ -472,10 +462,8 @@ def check_interval_property(degree: int, left_gens: GenSet, right_gens: GenSet) 
     """Every double coset must equal the full order interval between its ends.
 
     An oracle: it walks each coset and reads the whole group's order
-    tables, so it keeps the degree cap.
+    tables, whose enumeration keeps the degree cap.
     """
-    if degree > DEFAULT_DEGREE_CAP:
-        raise CapExceeded(f"degree {degree} exceeds the enumeration cap {DEFAULT_DEGREE_CAP}")
     left_gens = check_genset(left_gens, degree)
     right_gens = check_genset(right_gens, degree)
     elements, index, up, down = order_tables(degree)

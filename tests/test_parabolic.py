@@ -207,7 +207,6 @@ def assert_lazy_table_matches_eager_build(degree):
         assert built == poset
         assert built.covers == poset.covers
         assert list(table.order) == order
-        assert "entries" not in vars(table)  # nothing above read them
         assert list(table.entries) == entries
 
 
@@ -469,6 +468,21 @@ def test_coset_is_a_bruhat_interval():
 def test_interval_property_exhaustive_small():
     for I, J in itertools.product(subsets(4), repeat=2):
         assert check_interval_property(4, I, J)
+
+
+def test_whole_group_oracles_refuse_past_the_degree_cap(monkeypatch):
+    message = "^degree 9 exceeds the enumeration cap 8$"
+    with pytest.raises(CapExceeded, match=message):
+        order_tables(9)
+    with pytest.raises(CapExceeded, match=message):
+        check_interval_property(9, frozenset(), frozenset())
+
+    def refuse(degree):
+        raise AssertionError("the whole group was built")
+
+    monkeypatch.setattr(parabolic, "order_tables", refuse)
+    with pytest.raises(ValueError, match="out of range"):
+        check_interval_property(8, frozenset({99}), frozenset())
 
 
 def test_decompose_table_shape():

@@ -76,13 +76,10 @@ def test_shape_templates_stay_shared():
         assert poset.shape_template(again) is poset.shape_template(shape)
 
 
-def test_coset_table_caches_its_entries_and_stays_frozen():
+def test_coset_table_is_a_plain_record():
     table = parabolic.DoubleCosetTable(**_TABLE._asdict())
-    assert "entries" not in vars(table)
-    entries = table.entries
-    assert table.entries is entries
-    assert vars(table) == {"entries": entries}
+    assert not hasattr(table, "__dict__")
+    assert table.entries == _TABLE.entries
     for name in ("entries", "label"):
         with pytest.raises(AttributeError):
             setattr(table, name, None)
-    assert table.entries is entries
