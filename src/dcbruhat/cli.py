@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import os
 import sys
+from collections import namedtuple
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import bruhat, parabolic, spherical, weights
 from .symgroup import (
@@ -163,21 +164,25 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-class Option(NamedTuple):
+class Option(
+    namedtuple(
+        "Option",
+        "flag dest kind required default choices help",
+        defaults=(str, False, None, None, None),
+    )
+):
     """One command-line argument: ``--flag VALUE``, a switch or a positional.
 
     ``kind`` is ``int`` or ``str`` for a flag that takes a value,
     ``bool`` for a switch that takes none; a ``flag`` without leading
     dashes names a positional argument.
+
+    Fields: ``flag: str``, ``dest: str``, ``kind: type = str``,
+    ``required: bool = False``, ``default: object = None``, ``choices:
+    tuple[str, ...] | None = None`` and ``help: str | None = None``.
     """
 
-    flag: str
-    dest: str
-    kind: type = str
-    required: bool = False
-    default: object = None
-    choices: tuple[str, ...] | None = None
-    help: str | None = None
+    __slots__ = ()
 
 
 def _common(formats: tuple[str, ...], default_format: str) -> tuple[Option, ...]:

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from functools import lru_cache
 from operator import sub
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .bruhat import order_tables
 from .poset import FinitePoset, _pairs
@@ -56,15 +57,20 @@ def parabolic_elements(degree: int, gens: GenSet) -> frozenset[Perm]:
     return coset_members(identity(degree), frozenset(), gens)
 
 
-class CosetEntry(NamedTuple):
-    """One double coset, keyed by its two distinguished members."""
+class CosetEntry(namedtuple("CosetEntry", "min_rep max_rep size")):
+    """One double coset, keyed by its two distinguished members.
 
-    min_rep: Perm
-    max_rep: Perm
-    size: int
+    Fields: ``min_rep: Perm``, ``max_rep: Perm`` and ``size: int``.
+    """
+
+    __slots__ = ()
 
 
-class DoubleCosetTable(NamedTuple):
+class DoubleCosetTable(
+    namedtuple(
+        "DoubleCosetTable", "degree left_gens right_gens max_reps tables cover_masks"
+    )
+):
     """The full decomposition for one (degree, left, right) triple.
 
     Cosets are indexed in increasing order of their longest members,
@@ -72,14 +78,14 @@ class DoubleCosetTable(NamedTuple):
     bit j of ``cover_masks[i]`` says that coset j covers coset i.  The
     shortest members and sizes in ``entries`` are built from the tables
     on each read, so bind them to a name when they are needed twice.
+
+    Fields: ``degree: int``, ``left_gens: GenSet``, ``right_gens:
+    GenSet``, ``max_reps: tuple[Perm, ...]``, ``tables:
+    tuple[tuple[tuple[int, ...], ...], ...]`` and ``cover_masks:
+    tuple[int, ...]``.
     """
 
-    degree: int
-    left_gens: GenSet
-    right_gens: GenSet
-    max_reps: tuple[Perm, ...]
-    tables: tuple[tuple[tuple[int, ...], ...], ...]
-    cover_masks: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def entries(self) -> tuple[CosetEntry, ...]:

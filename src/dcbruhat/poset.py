@@ -16,8 +16,9 @@ the lattice check needs down-sets, and it transposes the up-sets.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .symgroup import json_text
 
@@ -76,8 +77,12 @@ def _pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
 def _transpose(masks: Sequence[int]) -> list[int]:
     """The masks of the converse relation: bit i of ``out[j]`` for bit j of ``masks[i]``."""
     out = [0] * len(masks)
-    for i, j in _pairs(masks):
-        out[j] |= 1 << i
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            m ^= low
+            out[low.bit_length() - 1] |= bit
     return out
 
 
@@ -118,8 +123,14 @@ class FinitePoset:
         while queue:
             i = queue.pop()
             topo.append(i)
-            for j in _bits(adj[i]):
-                level[j] = max(level[j], level[i] + 1)
+            nxt = level[i] + 1
+            m = adj[i]
+            while m:
+                low = m & -m
+                m ^= low
+                j = low.bit_length() - 1
+                if level[j] < nxt:
+                    level[j] = nxt
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     queue.append(j)
@@ -130,10 +141,13 @@ class FinitePoset:
         implied = [0] * n
         for i in reversed(topo):
             above = 0
-            for j in _bits(adj[i]):
-                above |= up[j] ^ 1 << j
-            implied[i] = adj[i] & above
-            up[i] = adj[i] | above | 1 << i
+            m = a = adj[i]
+            while m:
+                low = m & -m
+                m ^= low
+                above |= up[low.bit_length() - 1] ^ low
+            implied[i] = a & above
+            up[i] = a | above | 1 << i
         bad = next(_pairs(implied), None)
         if bad is not None:
             i, j = bad
@@ -404,15 +418,16 @@ UNRECOGNIZED = "unrecognized"
 LADDER_TAGS = (LADDER_A, LADDER_B, LADDER_C, LADDER_D)
 
 
-class ShapeClass(NamedTuple):
+class ShapeClass(namedtuple("ShapeClass", "tag param", defaults=(None,))):
     """A shape family tag plus its size parameter, if the family has one.
 
     For chains the parameter is the number of elements; for ladders it
     is the rung count of either rail.
+
+    Fields: ``tag: str`` and ``param: int | None = None``.
     """
 
-    tag: str
-    param: int | None = None
+    __slots__ = ()
 
     def __str__(self) -> str:
         return self.tag if self.param is None else f"{self.tag}({self.param})"

@@ -12,9 +12,9 @@ one-line words by the longest element.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations
 from math import comb
-from typing import NamedTuple
 
 from .parabolic import decompose
 from .poset import (
@@ -55,22 +55,27 @@ class NoClosedFormBottom(ValueError):
     """The case has no explicit bottom-element formula."""
 
 
-class SphericalCase(NamedTuple):
+class SphericalCase(
+    namedtuple(
+        "SphericalCase",
+        "degree i_complement j_complement tag predicted_shape norm mirrored",
+        defaults=(None, False),
+    )
+):
     """One catalogued pair, with its tag and predicted shape.
 
     ``norm`` holds the normalized parameters the side conditions were
     evaluated on: (p, q) for diamonds, (i, j) for ladders, None
     otherwise.  ``mirrored`` records whether the instance was brought to
     normal form by the index-reversing relabeling.
+
+    Fields: ``degree: int``, ``i_complement: tuple[int, ...]``,
+    ``j_complement: tuple[int, ...]``, ``tag: str``, ``predicted_shape:
+    ShapeClass``, ``norm: tuple[int, int] | None = None`` and
+    ``mirrored: bool = False``.
     """
 
-    degree: int
-    i_complement: tuple[int, ...]
-    j_complement: tuple[int, ...]
-    tag: str
-    predicted_shape: ShapeClass
-    norm: tuple[int, int] | None = None
-    mirrored: bool = False
+    __slots__ = ()
 
     def key(self) -> str:
         return (
@@ -256,27 +261,28 @@ def shape_in_family(actual: ShapeClass, predicted: ShapeClass) -> bool:
     return actual.tag == predicted.tag and predicted.param in (None, actual.param)
 
 
-class CaseResult(NamedTuple):
+class CaseResult(
+    namedtuple(
+        "CaseResult",
+        "case size actual_shape lattice_ok lattice_witness shape_ok bounds_ok height"
+        " predicted_min actual_min bottom_ok height_ok merge_ok",
+    )
+):
     """All verification outcomes for one catalogued pair.
 
     Three-state checks use None for "not applicable to this case".
     ``lattice_witness`` is the first pair of elements found without a
     join or a meet, or None for a lattice.
+
+    Fields: ``case: SphericalCase``, ``size: int``, ``actual_shape:
+    ShapeClass``, ``lattice_ok: bool``, ``lattice_witness: tuple[Perm,
+    Perm] | None``, ``shape_ok: bool``, ``bounds_ok: bool``, ``height:
+    int``, ``predicted_min: Perm | None``, ``actual_min: Perm | None``,
+    ``bottom_ok: bool | None``, ``height_ok: bool | None`` and
+    ``merge_ok: bool | None``.
     """
 
-    case: SphericalCase
-    size: int
-    actual_shape: ShapeClass
-    lattice_ok: bool
-    lattice_witness: tuple[Perm, Perm] | None
-    shape_ok: bool
-    bounds_ok: bool
-    height: int
-    predicted_min: Perm | None
-    actual_min: Perm | None
-    bottom_ok: bool | None
-    height_ok: bool | None
-    merge_ok: bool | None
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -307,9 +313,13 @@ class CaseResult(NamedTuple):
         return "; ".join(bad) if bad else "ok"
 
 
-class VerificationReport(NamedTuple):
-    degree: int
-    rows: tuple[CaseResult, ...]
+class VerificationReport(namedtuple("VerificationReport", "degree rows")):
+    """The catalogue sweep of one degree.
+
+    Fields: ``degree: int`` and ``rows: tuple[CaseResult, ...]``.
+    """
+
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:

@@ -298,8 +298,14 @@ def _json_parts(obj, newline: str, out: list[str]) -> None:
         sep = "[" + inner
         for item in obj:
             out.append(sep)
-            _json_parts(item, inner, out)
             sep = "," + inner
+            kind = type(item)
+            if kind is int:
+                out.append(int.__repr__(item))
+            elif kind is str:
+                out.append(encode_basestring_ascii(item))
+            else:
+                _json_parts(item, inner, out)
         out.append(newline + "]")
     elif kind is dict:
         if not obj:
@@ -311,10 +317,19 @@ def _json_parts(obj, newline: str, out: list[str]) -> None:
         sep = "{" + inner
         for key in sorted(obj):
             out.append(sep)
+            sep = "," + inner
             out.append(encode_basestring_ascii(key))
             out.append(": ")
-            _json_parts(obj[key], inner, out)
-            sep = "," + inner
+            value = obj[key]
+            kind = type(value)
+            if kind is int:
+                out.append(int.__repr__(value))
+            elif kind is str:
+                out.append(encode_basestring_ascii(value))
+            elif kind is bool or value is None:
+                out.append(_JSON_CONSTANTS[value])
+            else:
+                _json_parts(value, inner, out)
         out.append(newline + "}")
     else:
         raise TypeError(f"json_text cannot encode {kind.__name__}")

@@ -21,13 +21,19 @@ denominators.  A positive scaling keeps both the step order and
 dominance, so orbits, reachability masks and prefix sums all run on
 plain int tuples; values map back to the caller's ``Fraction`` entries
 only for what the public functions return.
+
+``fractions`` (which loads ``decimal`` and ``numbers``) is imported
+inside the three functions that build a ``Fraction``: ``check_weight``,
+``parse_weight`` and ``dominant_shape``.  So importing this module, as
+every CLI start does, does not load it, and only the orbit and tightness
+commands pay for it.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .parabolic import coset_bound
 from .poset import FinitePoset
@@ -40,10 +46,15 @@ from .symgroup import (
     json_text,
 )
 
-Weight = tuple[Fraction, ...]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Weight = tuple["Fraction", ...]
 
 
 def check_weight(values: Sequence) -> Weight:
+    from fractions import Fraction
+
     if not values:
         raise ValueError("empty weight")
     return tuple(Fraction(x) for x in values)
@@ -66,6 +77,8 @@ def parse_weight(text: str) -> Weight:
     >>> parse_weight("2,1,1,0")
     (Fraction(2, 1), Fraction(1, 1), Fraction(1, 1), Fraction(0, 1))
     """
+    from fractions import Fraction
+
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(not p for p in parts):
         raise ValueError(f"bad weight text: {text!r}")
@@ -169,6 +182,8 @@ def dominant_shape(degree: int, jc: Iterable[int]) -> Weight:
     >>> [int(x) for x in dominant_shape(6, [2, 4])]
     [2, 2, 1, 1, 0, 0]
     """
+    from fractions import Fraction
+
     jcs = set(jc)
     if not all(1 <= j <= degree - 1 for j in jcs):
         raise ValueError(f"indices {sorted(jcs)!r} out of range for degree {degree}")
@@ -298,7 +313,7 @@ def dominance_leq(nu: Weight, mu: Weight) -> bool:
         raise ValueError(f"degree mismatch: {len(nu)} vs {len(mu)}")
     if sum(nu) != sum(mu):
         raise ValueError(f"coordinate sums differ: {sum(nu)} vs {sum(mu)}")
-    run = Fraction(0)
+    run = 0
     for a, b in zip(mu, nu):
         run += a - b
         if run < 0:
@@ -306,13 +321,14 @@ def dominance_leq(nu: Weight, mu: Weight) -> bool:
     return True
 
 
-class OrbitPoset(NamedTuple):
-    """A (restricted) weight orbit together with its step order."""
+class OrbitPoset(namedtuple("OrbitPoset", "theta restriction members poset")):
+    """A (restricted) weight orbit together with its step order.
 
-    theta: Weight
-    restriction: GenSet | None
-    members: tuple[Weight, ...]
-    poset: FinitePoset
+    Fields: ``theta: Weight``, ``restriction: GenSet | None``,
+    ``members: tuple[Weight, ...]`` and ``poset: FinitePoset``.
+    """
+
+    __slots__ = ()
 
 
 def orbit_poset(theta: Sequence, restriction: GenSet | None = None) -> OrbitPoset:
@@ -364,22 +380,30 @@ def rule_predicts_tight(degree: int, jc: Iterable[int]) -> bool:
     return len(jcs) == 2 and jcs[1] == jcs[0] + 1
 
 
-class TightRow(NamedTuple):
-    j_complement: tuple[int, ...]
-    theta: Weight
-    orbit_size: int
-    tight: bool
-    rule_tight: bool
-    witness: tuple[Weight, Weight] | None
+class TightRow(
+    namedtuple("TightRow", "j_complement theta orbit_size tight rule_tight witness")
+):
+    """One staircase of a tightness scan.
+
+    Fields: ``j_complement: tuple[int, ...]``, ``theta: Weight``,
+    ``orbit_size: int``, ``tight: bool``, ``rule_tight: bool`` and
+    ``witness: tuple[Weight, Weight] | None``.
+    """
+
+    __slots__ = ()
 
     @property
     def match(self) -> bool:
         return self.tight == self.rule_tight
 
 
-class TightScanReport(NamedTuple):
-    degree: int
-    rows: tuple[TightRow, ...]
+class TightScanReport(namedtuple("TightScanReport", "degree rows")):
+    """A tightness scan of one degree.
+
+    Fields: ``degree: int`` and ``rows: tuple[TightRow, ...]``.
+    """
+
+    __slots__ = ()
 
     @property
     def all_match(self) -> bool:

@@ -537,7 +537,7 @@ def test_cli_import_loads_no_third_party_module():
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # Together they cost about half of the CLI's cold start; the report
-    # records are NamedTuples so that neither is needed.
+    # records are named tuples so that neither is needed.
     assert {"dataclasses", "inspect"} & newly_loaded("import dcbruhat.cli") == set()
 
 
@@ -547,6 +547,40 @@ def test_cli_import_loads_neither_argparse_gettext_nor_json():
     # errors, and json_text escapes strings with _json's helper.
     loaded = newly_loaded("import dcbruhat.cli")
     assert {"argparse", "gettext", "json"} & loaded == set()
+
+
+def test_cli_import_loads_no_fractions_but_loads_weights():
+    # fractions, with decimal, _decimal and numbers, was the largest share
+    # of every CLI start; weights imports it only where a Fraction is
+    # built.  weights itself still loads at start, so tracers that wrap
+    # the modules loaded then still see it.
+    loaded = newly_loaded("import dcbruhat.cli")
+    assert {"fractions", "decimal", "_decimal", "numbers"} & loaded == set()
+    assert "dcbruhat.weights" in loaded
+
+
+def test_coset_and_catalogue_calls_do_not_load_fractions(tmp_path):
+    argvs = [argv for argv in VALID_ARGVS if argv[0] in ("verify", "cosets", "hasse")]
+    assert {argv[0] for argv in argvs} == {"verify", "cosets", "hasse"}
+    code = (
+        "import os, dcbruhat.cli; sys.stdout = open(os.devnull, 'w'); "
+        f"codes = [dcbruhat.cli.main(argv) for argv in {argvs!r}]; "
+        "assert all(code in (0, 1) for code in codes), codes"
+    )
+    assert "fractions" not in newly_loaded(code, cwd=tmp_path)
+
+
+def test_orbit_call_loads_fractions_and_keeps_its_output():
+    argv, code, digest = next(p for p in PINNED_OUTPUTS if p[0][0] == "orbit")
+    probe = (
+        "import hashlib, io, dcbruhat.cli; sys.stdout = io.StringIO(); "
+        f"code = dcbruhat.cli.main({list(argv)!r}); "
+        "print(f'exit={code}', hashlib.sha256(sys.stdout.getvalue().encode()).hexdigest(), "
+        "file=sys.__stdout__)"
+    )
+    loaded = newly_loaded(probe)
+    assert {f"exit={code}", digest} <= loaded
+    assert "fractions" in loaded
 
 
 def test_option_only_calls_do_not_load_argparse(tmp_path):

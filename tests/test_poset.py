@@ -22,6 +22,7 @@ from dcbruhat.poset import (
     ShapeClass,
     are_isomorphic,
     classify_shape,
+    _transpose,
     hasse_reduction,
     shape_template,
 )
@@ -334,6 +335,29 @@ def test_from_cover_masks_checks_the_masks():
     # index order, although a reverse topological pass meets b->d first.
     with pytest.raises(NotAPartialOrder, match=re.escape("('a', 'c')")):
         FinitePoset.from_cover_masks(["a", "b", "c", "d"], [0b0110, 0b1100, 0b1000, 0])
+
+
+def transpose_oracle(masks):
+    """The converse relation's masks, one (i, j) pair at a time."""
+    n = len(masks)
+    return [
+        sum(1 << i for i in range(n) if masks[i] >> j & 1) for j in range(n)
+    ]
+
+
+@given(st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=n, max_size=n)
+))
+def test_transpose_matches_the_pairwise_oracle(masks):
+    assert _transpose(masks) == transpose_oracle(masks)
+    assert _transpose(_transpose(masks)) == masks
+
+
+def test_transpose_small_cases():
+    assert _transpose([]) == []
+    assert _transpose([0]) == [0]
+    assert _transpose([1]) == [1]
+    assert _transpose([0b10, 0b00]) == [0b00, 0b01]
 
 
 def test_templates_are_shared():
