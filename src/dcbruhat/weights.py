@@ -16,17 +16,25 @@ along a given genset, and only steps whose result stays inside.
 the orbit; ``tight_scan`` sweeps all staircase shapes for one degree and
 compares against the closed-form rule.
 
+The step order is Bruhat order on a parabolic quotient, so it has the
+sorted-prefix test of ``bruhat.leq``, and dominance is a test on prefix
+sums.  ``step_leq`` applies the first test to two weights, and
+``is_tight`` compares the two through masks of members by prefix class,
+so neither builds the orbit's reachability.  ``_orbit`` builds it, with
+the covers, for ``orbit_poset`` alone.
+
 Internally a weight is first scaled to integers by the lcm of its
 denominators.  A positive scaling keeps both the step order and
-dominance, so orbits, reachability masks and prefix sums all run on
-plain int tuples; values map back to the caller's ``Fraction`` entries
-only for what the public functions return.
+dominance, so orbits, masks and prefix sums all run on plain int tuples;
+values map back to the caller's ``Fraction`` entries only for what the
+public functions return.
 
 ``fractions`` (which loads ``decimal`` and ``numbers``) is imported
 inside the three functions that build a ``Fraction``: ``check_weight``,
 ``parse_weight`` and ``dominant_shape``.  So importing this module, as
-every CLI start does, does not load it, and only the orbit and tightness
-commands pay for it.
+every CLI start does, does not load it.  The orbit command pays for it;
+the tightness command does not, since ``tight_scan`` works on int
+staircases throughout.
 """
 from __future__ import annotations
 
@@ -164,7 +172,10 @@ def orbit_size(theta: Sequence) -> int:
     >>> orbit_size([2, 1, 1, 0])
     12
     """
-    t = check_weight(theta)
+    return _multinomial(check_weight(theta))
+
+
+def _multinomial(t: tuple) -> int:
     return math.factorial(len(t)) // math.prod(math.factorial(t.count(x)) for x in set(t))
 
 
@@ -184,25 +195,24 @@ def dominant_shape(degree: int, jc: Iterable[int]) -> Weight:
     """
     from fractions import Fraction
 
+    return tuple(Fraction(x) for x in _staircase(degree, jc))
+
+
+def _staircase(degree: int, jc: Iterable[int]) -> tuple[int, ...]:
+    """``dominant_shape`` as an int tuple."""
     jcs = set(jc)
     if not all(1 <= j <= degree - 1 for j in jcs):
         raise ValueError(f"indices {sorted(jcs)!r} out of range for degree {degree}")
-    return tuple(Fraction(sum(1 for j in jcs if j >= i)) for i in range(1, degree + 1))
+    return tuple(sum(1 for j in jcs if j >= i) for i in range(1, degree + 1))
 
 
-#: The most members an orbit may have.  Reachability and dominance masks
-#: take members² bits each; 7! members, the generic orbit at degree 7,
-#: take about 0.3 s to build and 0.7 s and 49 MiB peak to print as JSON
-#: from the command line (2 cores, Python 3.11), while 8! would need
-#: gigabytes.
+#: The most members an orbit built by ``_orbit`` (for ``orbit_poset`` and
+#: ``orbit``) may have.  Its reachability masks take members² bits; 7!
+#: members, the generic orbit at degree 7, take about 0.3 s to build and
+#: 0.7 s and 49 MiB peak to print as JSON from the command line (2 cores,
+#: Python 3.11), while 8! would need gigabytes.  ``is_tight`` and
+#: ``tight_scan`` build no such masks and answer to ``TIGHT_BIT_CAP``.
 ORBIT_MEMBER_CAP = math.factorial(7)
-
-
-def _check_members(bound: int) -> None:
-    if bound > ORBIT_MEMBER_CAP:
-        raise CapExceeded(
-            f"an orbit of up to {bound} members exceeds the member cap {ORBIT_MEMBER_CAP}"
-        )
 
 
 def _integral(theta: Sequence) -> tuple[int, ...]:
@@ -238,7 +248,11 @@ def _orbit(
     """
     t = check_dominant(theta)
     gens = None if restriction is None else check_genset(restriction, len(t))
-    _check_members(coset_bound(len(t), gens or frozenset(), stabilizer_genset(t)))
+    bound = coset_bound(len(t), gens or frozenset(), stabilizer_genset(t))
+    if bound > ORBIT_MEMBER_CAP:
+        raise CapExceeded(
+            f"an orbit of up to {bound} members exceeds the member cap {ORBIT_MEMBER_CAP}"
+        )
     members = _rearrangements(_integral(t), gens or ())
     index = {mu: i for i, mu in enumerate(members)}
     pairs = list(itertools.combinations(range(len(t)), 2))
@@ -260,43 +274,28 @@ def _orbit(
     return t, gens, members, index, covers, up
 
 
-def _dominated_masks(members: Sequence[tuple[int, ...]]) -> list[int]:
-    """Bit j of mask i is set when members[i] dominates members[j].
-
-    One cumulative mask "prefix_k <= v" per coordinate k and value v;
-    member i's mask is the AND over k of the masks at its own prefixes.
-    Members share their coordinate sum, so the last prefix is skipped.
-    """
-    n = len(members)
-    prefixes = [tuple(itertools.accumulate(mu)) for mu in members]
-    dom = [(1 << n) - 1] * n
-    for k in range(len(members[0]) - 1):
-        column = [p[k] for p in prefixes]
-        at_most: dict[int, int] = {}
-        for j, v in enumerate(column):
-            at_most[v] = at_most.get(v, 0) | (1 << j)
-        acc = 0
-        for v in sorted(at_most):
-            acc |= at_most[v]
-            at_most[v] = acc
-        for i, v in enumerate(column):
-            dom[i] &= at_most[v]
-    return dom
-
-
 def step_leq(nu: Weight, mu: Weight, restriction: GenSet | None = None) -> bool:
-    """Whether mu is reachable upward from nu (nu below mu in the orbit order)."""
+    """Whether mu is reachable upward from nu (nu below mu in the orbit order).
+
+    The step order is Bruhat order on a parabolic quotient, so it has
+    the tableau criterion of ``bruhat.leq`` (Björner–Brenti, Combinatorics
+    of Coxeter Groups, Thm 2.6.3): mu is above nu iff for every k the
+    sorted first k entries of mu are entrywise at most those of nu.  On
+    a restricted orbit the step order is the induced one, so both weights
+    need only respect the restriction.  No orbit is built.
+    """
     if len(nu) != len(mu):
         raise ValueError(f"degree mismatch: {len(nu)} vs {len(mu)}")
+    nu, mu = check_weight(nu), check_weight(mu)
     if sorted(nu) != sorted(mu):
         return False
-    _, _, _, index, _, up = _orbit(sorted(mu, reverse=True), restriction)
-    # nu and mu share theta's entries, and so its scale to integers
-    i = index.get(_integral(check_weight(nu)))
-    j = index.get(_integral(check_weight(mu)))
-    if i is None or j is None:
-        return False
-    return bool(up[i] >> j & 1)
+    if restriction is not None:
+        gens = check_genset(restriction, len(mu))
+        if not (respects(nu, gens) and respects(mu, gens)):
+            return False
+    return all(
+        all(a <= b for a, b in zip(sorted(mu[:k]), sorted(nu[:k]))) for k in range(1, len(mu))
+    )
 
 
 def dominance_leq(nu: Weight, mu: Weight) -> bool:
@@ -347,23 +346,145 @@ def is_tight(theta: Sequence, restriction: GenSet | None = None) -> tuple[bool, 
     internal error.  The converse can genuinely fail; the first pair
     (mu, nu) with nu dominated by mu yet mu not below nu in the step
     order is returned as the witness, scanning mu and then nu from
-    theta downward in the lexicographic order.
+    theta downward in the lexicographic order.  The call refuses up
+    front when its masks could exceed ``TIGHT_BIT_CAP``.
     """
-    t, _, members, _, _, up = _orbit(theta, restriction)
-    del _  # the cover masks, unread here; free them before the dominance masks
-    dom = _dominated_masks(members)
-    for i in range(len(members) - 1, -1, -1):
-        mismatch = up[i] ^ dom[i]
+    t = check_dominant(theta)
+    gens = None if restriction is None else check_genset(restriction, len(t))
+    scaled = _integral(t)
+    _check_tight_bits(scaled, gens)
+    witness = _tight_witness(scaled, gens)
+    if witness is None:
+        return True, None
+    back = dict(zip(scaled, t))
+    return False, (_as_weight(witness[0], back), _as_weight(witness[1], back))
+
+
+#: The most mask bits ``is_tight`` may build: for each prefix length, one
+#: mask as wide as the orbit per class of sorted prefixes.  The whole
+#: group at degree 8 takes 254 classes × 8! members, about 10.2M bits,
+#: and 0.1 s, and ``tight --degree 8`` about 1 s in all; degree 9 would
+#: take 510 × 9!, about 185M bits, and ``tight --degree 9`` about 20 s and
+#: 105 MiB (2 cores, Python 3.11).  With d distinct entries there are at
+#: least 2^d - 2 classes, so fewer than 25 distinct entries pass.
+TIGHT_BIT_CAP = 1 << 24
+
+
+def _check_tight_bits(t: tuple[int, ...], gens: GenSet | None) -> None:
+    """Refuse an orbit whose prefix-class masks could exceed ``TIGHT_BIT_CAP``.
+
+    Before any member is built: the members are at most the double cosets
+    of the restriction and theta's stabilizer, and the classes of k-prefixes
+    at most the sub-multisets of k of theta's entries.
+    """
+    d = len(t)
+    members = coset_bound(
+        d, gens or frozenset(), frozenset(i for i in range(1, d) if t[i - 1] == t[i])
+    )
+    sizes = [1]  # sizes[k]: the sub-multisets of k entries seen so far
+    for x in set(t):
+        c = t.count(x)
+        sizes = [sum(sizes[max(0, k - c):k + 1]) for k in range(len(sizes) + c)]
+    classes = sum(sizes[1:-1])
+    if classes * members > TIGHT_BIT_CAP:
+        raise CapExceeded(
+            f"an orbit of up to {members} members in {classes} prefix classes exceeds "
+            f"the member cap of is_tight: {classes * members} mask bits, cap {TIGHT_BIT_CAP}"
+        )
+
+
+def _dominance_masks(by_sum: dict[int, int]) -> dict[int, int]:
+    """From members by prefix sum to members whose prefix sum is at most each value."""
+    acc = 0
+    at_most = {}
+    for v in sorted(by_sum):
+        acc |= by_sum[v]
+        at_most[v] = acc
+    return at_most
+
+
+def _tight_witness(
+    t: tuple[int, ...], gens: GenSet | None
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """``is_tight``'s witness on an integral dominant weight, or None when tight.
+
+    Member j is above member i exactly when, for each prefix length k
+    from 1 to d - 1, the sorted k-prefix of j is entrywise at most that
+    of i (see ``step_leq``), and i dominates j exactly when each k-prefix
+    sum of j is at most that of i.  So both orders are ANDs over k of
+    masks over all members, kept per class of sorted k-prefixes:
+    - the members of a k-prefix class are those of a (k-1)-prefix class
+      that hold the missing value at position k; that position's column
+      of the members gives one bit string per value;
+    - a member's up mask at k ORs the classes entrywise at most its own,
+      and its dominance mask the classes of prefix sum at most its own.
+    The scan runs from theta down and stops at the first mismatch.
+    Members sharing a k-prefix are consecutive, so a member's masks
+    cost one AND per prefix it does not share with the member before,
+    and the OR for a class is built when a scanned member first needs it.
+
+    Entries are replaced by their ranks, which keeps the member order,
+    the step order and the restriction; ``TIGHT_BIT_CAP`` keeps them
+    under 25, so a column of ranks is a ``bytes`` string.
+    """
+    values = sorted(set(t))
+    rank = {v: x for x, v in enumerate(values)}
+    members = _rearrangements(tuple(rank[v] for v in t), gens or ())
+    n, d = len(members), len(t)
+    # ones[x] translates rank x to the digit 1 and every other rank to 0
+    ones = [b"0" * x + b"1" + b"0" * (255 - x) for x in range(len(values))]
+    classes = [{(): (1 << n) - 1}]  # per prefix length: sorted prefix -> members
+    for column in itertools.islice(zip(*members), d - 1):
+        digits = bytes(reversed(column))  # member 0 last: the lowest bit
+        holding = [int(digits.translate(one), 2) for one in ones]
+        level: dict[tuple[int, ...], int] = {}
+        for c, mask in classes[-1].items():
+            for x, bits in enumerate(holding):
+                bits &= mask
+                if bits:
+                    key = tuple(sorted(c + (x,)))
+                    level[key] = level.get(key, 0) | bits
+        classes.append(level)
+    below = [{}]
+    for level in classes[1:]:
+        by_sum: dict[int, int] = {}
+        for c, bits in level.items():
+            v = sum(values[x] for x in c)
+            by_sum[v] = by_sum.get(v, 0) | bits
+        below.append(_dominance_masks(by_sum))
+
+    memo: list[dict[tuple[int, ...], tuple[int, int]]] = [{} for _ in range(d)]
+    up = [(1 << n) - 1] * d
+    dom = up.copy()
+    last = members[-1]
+    for i in range(n - 1, -1, -1):
+        mu = members[i]
+        p = 0
+        if i < n - 1:
+            while mu[p] == last[p]:
+                p += 1
+        last = mu
+        for k in range(p + 1, d):
+            c = tuple(sorted(mu[:k]))
+            masks = memo[k].get(c)
+            if masks is None:
+                above = 0
+                for other, bits in classes[k].items():
+                    if all(a <= b for a, b in zip(other, c)):
+                        above |= bits
+                masks = memo[k][c] = (above, below[k][sum(values[x] for x in c)])
+            up[k] = up[k - 1] & masks[0]
+            dom[k] = dom[k - 1] & masks[1]
+        mismatch = up[-1] ^ dom[-1]
         if mismatch:
             j = mismatch.bit_length() - 1
-            back = dict(zip(members[-1], t))
-            mu, nu = _as_weight(members[i], back), _as_weight(members[j], back)
-            if up[i] >> j & 1:
+            mu, nu = (tuple(values[x] for x in members[m]) for m in (i, j))
+            if up[-1] >> j & 1:
                 raise RuntimeError(
                     f"step order escaped dominance: {mu} climbs to {nu}; this is a bug"
                 )
-            return False, (mu, nu)
-    return True, None
+            return mu, nu
+    return None
 
 
 def rule_predicts_tight(degree: int, jc: Iterable[int]) -> bool:
@@ -458,25 +579,28 @@ def tight_scan(degree: int, cap: int = TIGHT_SCAN_CAP) -> TightScanReport:
 
     One staircase per descent set; the busiest orbit is the whole group,
     so the degree is capped harder than elsewhere, and a degree whose
-    whole group exceeds ``ORBIT_MEMBER_CAP`` is refused before any row.
+    whole group exceeds ``TIGHT_BIT_CAP`` is refused before any row.
+    The staircases are integral, so ``theta`` and the witness are int
+    tuples; they equal, with equal hashes, the ``Fraction`` tuples of
+    ``dominant_shape`` and ``is_tight``, and print the same.
     """
     if degree > cap:
         raise CapExceeded(f"degree {degree} exceeds the tight-scan cap {cap}")
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
-    _check_members(math.factorial(degree))
-    rows = []
     indices = range(1, degree)
+    _check_tight_bits(_staircase(degree, indices), None)
+    rows = []
     for r in range(0, degree):
         for jc in itertools.combinations(indices, r):
-            theta = dominant_shape(degree, jc)
-            tight, witness = is_tight(theta)
+            theta = _staircase(degree, jc)
+            witness = _tight_witness(theta, None)
             rows.append(
                 TightRow(
                     j_complement=jc,
                     theta=theta,
-                    orbit_size=orbit_size(theta),
-                    tight=tight,
+                    orbit_size=_multinomial(theta),
+                    tight=witness is None,
                     rule_tight=rule_predicts_tight(degree, jc),
                     witness=witness,
                 )

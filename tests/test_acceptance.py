@@ -13,7 +13,9 @@ import time
 
 import pytest
 
+from dcbruhat import weights
 from dcbruhat.bruhat import leq, leq_subword_oracle
+from dcbruhat.cli import main
 from dcbruhat.parabolic import (
     check_interval_property,
     coset_of,
@@ -255,6 +257,34 @@ def test_08_tightness_rule():
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
     assert verdict(8, "orbit-tightness-rule", ok)
+
+
+def tightness_rule_holds(degree):
+    """Every staircase matches the rule, and every witness is a real disagreement."""
+    report = tight_scan(degree, cap=degree)
+    ok = len(report.rows) == 2 ** (degree - 1) and report.all_match
+    for row in report.rows:
+        if not row.tight:
+            mu, nu = row.witness
+            ok = ok and dominance_leq(nu, mu) and not step_leq(nu, mu)
+    return ok
+
+
+@pytest.mark.slow
+def test_08_tightness_rule_at_degree_8(capsys):
+    ok = tightness_rule_holds(8)
+    ok = ok and main(["tight", "--degree", "8", "--degree-cap", "8"]) == 0
+    assert "shapes=128  all_match=True" in capsys.readouterr().out
+    assert verdict(8, "orbit-tightness-rule-degree-8", ok)
+
+
+@pytest.mark.slow
+def test_08_tightness_rule_at_degree_9(monkeypatch):
+    # The whole group's 510 prefix classes × 9! members exceed the bit
+    # cap, so the command line refuses this degree; lifted, it takes
+    # about 20 s and 105 MiB.
+    monkeypatch.setattr(weights, "TIGHT_BIT_CAP", 510 * math.factorial(9))
+    assert verdict(8, "orbit-tightness-rule-degree-9", tightness_rule_holds(9))
 
 
 def test_09_evaluation_isomorphism():

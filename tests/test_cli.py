@@ -570,8 +570,9 @@ def test_coset_and_catalogue_calls_do_not_load_fractions(tmp_path):
     assert "fractions" not in newly_loaded(code, cwd=tmp_path)
 
 
-def test_orbit_call_loads_fractions_and_keeps_its_output():
-    argv, code, digest = next(p for p in PINNED_OUTPUTS if p[0][0] == "orbit")
+def pinned_call_loads(pin) -> set[str]:
+    """The modules a fresh interpreter loads for a pinned call, with its exit and digest."""
+    argv, code, digest = pin
     probe = (
         "import hashlib, io, dcbruhat.cli; sys.stdout = io.StringIO(); "
         f"code = dcbruhat.cli.main({list(argv)!r}); "
@@ -580,7 +581,19 @@ def test_orbit_call_loads_fractions_and_keeps_its_output():
     )
     loaded = newly_loaded(probe)
     assert {f"exit={code}", digest} <= loaded
+    return loaded
+
+
+def test_orbit_call_loads_fractions_and_keeps_its_output():
+    loaded = pinned_call_loads(next(p for p in PINNED_OUTPUTS if p[0][0] == "orbit"))
     assert "fractions" in loaded
+
+
+def test_tight_call_does_not_load_fractions_and_keeps_its_output():
+    # tight_scan runs on int staircases, which print as the Fractions did.
+    for pin in (p for p in PINNED_OUTPUTS if p[0][0] == "tight"):
+        loaded = pinned_call_loads(pin)
+        assert {"fractions", "decimal", "_decimal", "numbers"} & loaded == set()
 
 
 def test_option_only_calls_do_not_load_argparse(tmp_path):

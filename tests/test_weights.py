@@ -174,6 +174,25 @@ def test_tight_scan_small_degrees():
                 assert not step_leq(nu, mu)
 
 
+def test_tight_scan_rows_equal_the_fraction_rows():
+    # The scan runs on int staircases; Fraction(k) == k with equal
+    # hashes, so its rows equal those built from is_tight's Fractions.
+    for degree in (1, 4, 5):
+        report = tight_scan(degree)
+        for row in report.rows:
+            theta = dominant_shape(degree, row.j_complement)
+            tight, witness = is_tight(theta)
+            built = row._replace(theta=theta, orbit_size=orbit_size(theta), tight=tight, witness=witness)
+            assert row == built and hash(row) == hash(built)
+            assert all(type(x) is int for x in row.theta)
+            assert row.witness is None or all(type(x) is int for mu in row.witness for x in mu)
+        built = report._replace(rows=tuple(
+            row._replace(theta=dominant_shape(degree, row.j_complement)) for row in report.rows
+        ))
+        assert built.to_json() == report.to_json()
+        assert built.to_table() == report.to_table()
+
+
 def test_tight_scan_json():
     report = tight_scan(3)
     doc = json.loads(report.to_json())
@@ -273,8 +292,63 @@ def test_witness_is_the_nested_loops_first_pair():
     assert witness == fraction_is_tight(theta, None)[1]
 
 
+# --- the reachability-mask scan, kept as the oracle of the prefix-class scan -
+
+
+def dominated_masks(members):
+    """Bit j of mask i is set when members[i] dominates members[j]."""
+    n = len(members)
+    prefixes = [tuple(itertools.accumulate(mu)) for mu in members]
+    dom = [(1 << n) - 1] * n
+    for k in range(len(members[0]) - 1):
+        column = [p[k] for p in prefixes]
+        at_most = {}
+        for j, v in enumerate(column):
+            at_most[v] = at_most.get(v, 0) | (1 << j)
+        acc = 0
+        for v in sorted(at_most):
+            acc |= at_most[v]
+            at_most[v] = acc
+        for i, v in enumerate(column):
+            dom[i] &= at_most[v]
+    return dom
+
+
+def orbit_mask_is_tight(theta, gens=None):
+    """``_orbit``'s reachability masks against dominance masks, from theta down."""
+    t, _, members, _, _, up = weights._orbit(theta, gens)
+    dom = dominated_masks(members)
+    back = dict(zip(members[-1], t))
+    for i in range(len(members) - 1, -1, -1):
+        mismatch = up[i] ^ dom[i]
+        if mismatch:
+            j = mismatch.bit_length() - 1
+            assert not up[i] >> j & 1, "step order escaped dominance"
+            return False, tuple(tuple(back[x] for x in members[m]) for m in (i, j))
+    return True, None
+
+
+def assert_is_tight_matches_orbit_masks(degree):
+    for r in range(degree):
+        for jc in itertools.combinations(range(1, degree), r):
+            theta = dominant_shape(degree, jc)
+            assert is_tight(theta) == orbit_mask_is_tight(theta), jc
+
+
+def test_is_tight_matches_the_orbit_mask_scan_up_to_degree_6():
+    for degree in range(1, 7):
+        assert_is_tight_matches_orbit_masks(degree)
+
+
+@pytest.mark.slow
+def test_is_tight_matches_the_orbit_mask_scan_at_degree_7():
+    assert_is_tight_matches_orbit_masks(7)
+
+
 def test_climb_outside_dominance_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(weights, "_dominated_masks", lambda members: [1 << i for i in range(len(members))])
+    # Each prefix sum admits only members with that very sum, so theta
+    # dominates itself alone while everything lies above it.
+    monkeypatch.setattr(weights, "_dominance_masks", lambda by_sum: by_sum)
     with pytest.raises(RuntimeError, match="escaped dominance"):
         is_tight(W(1, 0, 0))
 
@@ -312,18 +386,55 @@ def test_member_bound_covers_every_restricted_orbit():
                 assert member_bound(distinct, gens) == exact, gens
 
 
-def test_orbits_beyond_the_member_cap_are_refused():
+def test_orbits_beyond_the_member_cap_are_refused(monkeypatch):
     generic = W(*range(7, -1, -1))
     with pytest.raises(CapExceeded, match="member cap"):
-        is_tight(generic)
-    with pytest.raises(CapExceeded, match="member cap"):
         orbit_poset(generic)
-    with pytest.raises(CapExceeded, match="member cap"):
-        step_leq(generic, generic)
-    with pytest.raises(CapExceeded, match="member cap"):
-        tight_scan(8, cap=8)
     # Pairs of adjacent positions tie up: 8!/2^4 = 2520 members fit.
     assert member_bound(weights._integral(generic), {1, 3, 5, 7}) == 2520
+    # is_tight and step_leq build no reachability: the whole group at
+    # degree 8 runs (tight_scan(8, cap=8) is the slow acceptance check).
+    assert is_tight(generic) == (False, (W(7, 6, 5, 4, 3, 0, 2, 1), W(7, 6, 5, 4, 2, 1, 0, 3)))
+    assert step_leq(generic, generic[::-1])
+    # At degree 9 the prefix-class masks would take 510 × 9! bits.
+    degree_9 = W(*range(8, -1, -1))
+    assert step_leq(degree_9, degree_9[::-1])  # it builds no masks
+    monkeypatch.setattr(weights, "_rearrangements", None)  # refused before enumeration
+    with pytest.raises(CapExceeded, match="member cap"):
+        is_tight(degree_9)
+    with pytest.raises(CapExceeded, match="member cap"):
+        tight_scan(9, cap=9)
+
+
+@pytest.mark.parametrize(
+    "theta,bits", [(W(3, 2, 1, 0), 14 * 24), (W(1, 1, 0, 0), 7 * 6), (W(2, 1, 1, 0), 10 * 12)]
+)
+def test_tight_bit_bound_is_prefix_classes_times_members(monkeypatch, theta, bits):
+    # (3,2,1,0): 2^4 - 2 sub-multisets of 1 to 3 entries, 4! members;
+    # (1,1,0,0): 2 + 3 + 2 classes, 6 members; (2,1,1,0): 3 + 4 + 3, 12.
+    monkeypatch.setattr(weights, "TIGHT_BIT_CAP", bits)
+    assert is_tight(theta) == fraction_is_tight(theta, None)
+    monkeypatch.setattr(weights, "TIGHT_BIT_CAP", bits - 1)
+    with pytest.raises(CapExceeded, match=f"{bits} mask bits"):
+        is_tight(theta)
+
+
+def assert_step_leq_matches_orbit_poset(degrees):
+    for degree in degrees:
+        for theta in dominant_weights(ORACLE_VALUES, degree):
+            for gens in restrictions(degree):
+                built = orbit_poset(theta, gens)
+                for nu, mu in itertools.product(built.members, repeat=2):
+                    assert step_leq(nu, mu, gens) == built.poset.leq(nu, mu), (theta, gens, nu, mu)
+
+
+def test_step_leq_matches_orbit_poset_up_to_degree_4():
+    assert_step_leq_matches_orbit_poset((1, 2, 3, 4))
+
+
+@pytest.mark.slow
+def test_step_leq_matches_orbit_poset_at_degree_5():
+    assert_step_leq_matches_orbit_poset((5,))
 
 
 def test_step_leq_takes_plain_numbers():
