@@ -11,10 +11,12 @@ too.
 from __future__ import annotations
 
 import bisect
+import math
 from functools import lru_cache
 
 from .poset import FinitePoset, _transpose
 from .symgroup import (
+    DEFAULT_DEGREE_CAP,
     CapExceeded,
     Perm,
     all_permutations,
@@ -25,6 +27,11 @@ from .symgroup import (
 
 #: Largest Coxeter length the subword oracle will walk.
 DEFAULT_WORD_CAP = 28
+
+#: Most elements a lower interval may grow to: the whole group at the
+#: default degree cap.  Each letter of the reduced word at most doubles
+#: the set, so the work stays under twice this many elements.
+INTERVAL_CAP = math.factorial(DEFAULT_DEGREE_CAP)
 
 
 def leq(u: Perm, v: Perm) -> bool:
@@ -78,16 +85,23 @@ def _lower_interval(v: Perm) -> frozenset[Perm]:
 
     Scanning a reduced word left to right and optionally applying each
     letter reaches exactly the elements of the lower interval; which
-    reduced word is used does not matter.
+    reduced word is used does not matter.  The growth stops with
+    ``CapExceeded`` as soon as the set passes ``INTERVAL_CAP``.
     """
+    word = reduced_word(v)
     reach: set[Perm] = {tuple(range(1, len(v) + 1))}
-    for i in reduced_word(v):
+    for i in word:
         extra = set()
         for w in reach:
             wi = mult_right(w, i)
             if wi not in reach:
                 extra.add(wi)
         reach |= extra
+        if len(reach) > INTERVAL_CAP:
+            raise CapExceeded(
+                f"the lower interval of a length-{len(word)} element passes "
+                f"the interval cap {INTERVAL_CAP}"
+            )
     return frozenset(reach)
 
 

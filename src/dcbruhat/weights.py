@@ -20,13 +20,12 @@ The step order is Bruhat order on a parabolic quotient, so it has the
 sorted-prefix test of ``bruhat.leq``, and dominance is a test on prefix
 sums.  ``step_leq`` applies the first test to two weights, and
 ``is_tight`` compares the two through masks of members by prefix class,
-so neither builds the orbit's reachability.  ``_orbit`` builds it, with
-the covers, for ``orbit_poset`` alone.
+so neither builds the orbit's reachability; ``orbit_poset`` builds it,
+with the covers.
 
-Internally a weight is first scaled to integers by the lcm of its
-denominators.  A positive scaling keeps both the step order and
-dominance, so orbits, masks and prefix sums all run on plain int tuples;
-values map back to the caller's ``Fraction`` entries only for what the
+Internally an orbit runs on the ranks of theta's entries among its
+distinct values, which keep the member order, the step order and the
+restriction; the values come back only for prefix sums and for what the
 public functions return.
 
 ``fractions`` (which loads ``decimal`` and ``numbers``) is imported
@@ -43,7 +42,8 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .parabolic import coset_bound
+from . import bruhat
+from .parabolic import COSET_CAP, coset_bound
 from .poset import FinitePoset
 from .symgroup import (
     CapExceeded,
@@ -120,7 +120,11 @@ def stabilizer_genset(theta: Sequence) -> GenSet:
     >>> sorted(stabilizer_genset(check_dominant([1, 0, 0, 0])))
     [2, 3]
     """
-    t = check_dominant(theta)
+    return _stabilizer(check_dominant(theta))
+
+
+def _stabilizer(t: Sequence) -> GenSet:
+    """``stabilizer_genset`` of a weight already checked to be dominant."""
     return frozenset(i for i in range(1, len(t)) if t[i - 1] == t[i])
 
 
@@ -162,8 +166,12 @@ def _rearrangements(values: Sequence, gens: Iterable[int] = ()) -> list[tuple]:
 
 
 def orbit(theta: Sequence) -> frozenset[Weight]:
-    """All distinct rearrangements."""
-    return frozenset(_rearrangements(check_weight(theta)))
+    """All distinct rearrangements, refused up front beyond ``COSET_CAP`` of them."""
+    t = check_weight(theta)
+    size = _multinomial(t)
+    if size > COSET_CAP:
+        raise CapExceeded(f"an orbit of {size} members exceeds the listing cap {COSET_CAP}")
+    return frozenset(_rearrangements(t))
 
 
 def orbit_size(theta: Sequence) -> int:
@@ -206,72 +214,24 @@ def _staircase(degree: int, jc: Iterable[int]) -> tuple[int, ...]:
     return tuple(sum(1 for j in jcs if j >= i) for i in range(1, degree + 1))
 
 
-#: The most members an orbit built by ``_orbit`` (for ``orbit_poset`` and
-#: ``orbit``) may have.  Its reachability masks take members² bits; 7!
-#: members, the generic orbit at degree 7, take about 0.3 s to build and
-#: 0.7 s and 49 MiB peak to print as JSON from the command line (2 cores,
-#: Python 3.11), while 8! would need gigabytes.  ``is_tight`` and
-#: ``tight_scan`` build no such masks and answer to ``TIGHT_BIT_CAP``.
+#: The most members ``orbit_poset`` may build.  Its reachability masks
+#: take members² bits; 7! members, the generic orbit at degree 7, take
+#: about 0.3 s to build and 0.7 s and 49 MiB peak to print as JSON from
+#: the command line (2 cores, Python 3.11), while 8! would need
+#: gigabytes.  ``is_tight`` and ``tight_scan`` build no such masks and
+#: answer to ``TIGHT_BIT_CAP``.
 ORBIT_MEMBER_CAP = math.factorial(7)
 
 
-def _integral(theta: Sequence) -> tuple[int, ...]:
-    """theta times the lcm of its denominators.
+def _ranked(t: Sequence) -> tuple[list, tuple[int, ...]]:
+    """The distinct values of t in increasing order, and each entry's rank among them.
 
-    >>> _integral(check_weight(["3/2", 1, "-1/3"]))
-    (9, 6, -2)
+    >>> _ranked((5, 2, 2, -1))
+    ([-1, 2, 5], (2, 1, 1, 0))
     """
-    scale = math.lcm(*(x.denominator for x in theta))
-    return tuple(x.numerator * (scale // x.denominator) for x in theta)
-
-
-def _as_weight(mu: tuple[int, ...], back: dict[int, Fraction]) -> Weight:
-    return tuple(back[x] for x in mu)
-
-
-def _orbit(
-    theta: Sequence, restriction: GenSet | None
-) -> tuple[Weight, GenSet | None, list[tuple[int, ...]], dict[tuple[int, ...], int], list[int], list[int]]:
-    """The (restricted) orbit of a dominant weight, with its covers and reachability.
-
-    Returns theta and the restriction as checked, the members as integer
-    tuples in increasing lexicographic order (so theta is last), their
-    index, and two masks per member: bit j of ``covers[i]`` says member
-    j covers member i, and bit j of ``up[i]`` that member j is reachable
-    from member i by steps staying inside the member set.  A step
-    strictly drops in the lexicographic order, so in one forward pass a
-    member's step targets all come before it.  Every cover is one step,
-    and a target is a cover when it lies above no other target.  The
-    member count is at most the number of double
-    cosets of the restriction and the stabilizer of theta, so the call
-    refuses up front when ``coset_bound`` exceeds ``ORBIT_MEMBER_CAP``.
-    """
-    t = check_dominant(theta)
-    gens = None if restriction is None else check_genset(restriction, len(t))
-    bound = coset_bound(len(t), gens or frozenset(), stabilizer_genset(t))
-    if bound > ORBIT_MEMBER_CAP:
-        raise CapExceeded(
-            f"an orbit of up to {bound} members exceeds the member cap {ORBIT_MEMBER_CAP}"
-        )
-    members = _rearrangements(_integral(t), gens or ())
-    index = {mu: i for i, mu in enumerate(members)}
-    pairs = list(itertools.combinations(range(len(t)), 2))
-    covers: list[int] = []
-    up: list[int] = []
-    for mu in members:
-        targets = above = 0
-        for a, b in pairs:
-            if mu[a] > mu[b]:
-                nu = list(mu)
-                nu[a], nu[b] = nu[b], nu[a]
-                j = index.get(tuple(nu))
-                if j is not None:
-                    bit = 1 << j
-                    targets |= bit
-                    above |= up[j] ^ bit
-        covers.append(targets & ~above)
-        up.append(targets | above | 1 << len(up))
-    return t, gens, members, index, covers, up
+    values = sorted(set(t))
+    rank = {v: x for x, v in enumerate(values)}
+    return values, tuple(rank[v] for v in t)
 
 
 def step_leq(nu: Weight, mu: Weight, restriction: GenSet | None = None) -> bool:
@@ -293,9 +253,7 @@ def step_leq(nu: Weight, mu: Weight, restriction: GenSet | None = None) -> bool:
         gens = check_genset(restriction, len(mu))
         if not (respects(nu, gens) and respects(mu, gens)):
             return False
-    return all(
-        all(a <= b for a, b in zip(sorted(mu[:k]), sorted(nu[:k]))) for k in range(1, len(mu))
-    )
+    return bruhat.leq(mu, nu)
 
 
 def dominance_leq(nu: Weight, mu: Weight) -> bool:
@@ -331,10 +289,46 @@ class OrbitPoset(namedtuple("OrbitPoset", "theta restriction members poset")):
 
 
 def orbit_poset(theta: Sequence, restriction: GenSet | None = None) -> OrbitPoset:
-    """Build the step order on the (restricted) orbit of a dominant weight."""
-    t, gens, members, _, covers, _ = _orbit(theta, restriction)
-    back = dict(zip(members[-1], t))
-    elements = [_as_weight(mu, back) for mu in members]
+    """Build the step order on the (restricted) orbit of a dominant weight.
+
+    The members are built on ranks in increasing lexicographic order, so
+    theta comes last, with two masks per member: bit j of ``covers[i]``
+    says member j covers member i, and bit j of ``up[i]`` that member j
+    is reachable from member i by steps staying inside the member set.
+    A step strictly drops in the lexicographic order, so in one forward
+    pass a member's step targets all come before it.  Every cover is one
+    step, and a target is a cover when it lies above no other target.
+    The member count is at most the number of double cosets of the
+    restriction and the stabilizer of theta, so the call refuses up
+    front when ``coset_bound`` exceeds ``ORBIT_MEMBER_CAP``.
+    """
+    t = check_dominant(theta)
+    gens = None if restriction is None else check_genset(restriction, len(t))
+    bound = coset_bound(len(t), gens or frozenset(), _stabilizer(t))
+    if bound > ORBIT_MEMBER_CAP:
+        raise CapExceeded(
+            f"an orbit of up to {bound} members exceeds the member cap {ORBIT_MEMBER_CAP}"
+        )
+    values, ranks = _ranked(t)
+    members = _rearrangements(ranks, gens or ())
+    index = {mu: i for i, mu in enumerate(members)}
+    pairs = list(itertools.combinations(range(len(t)), 2))
+    covers: list[int] = []
+    up: list[int] = []
+    for mu in members:
+        targets = above = 0
+        for a, b in pairs:
+            if mu[a] > mu[b]:
+                nu = list(mu)
+                nu[a], nu[b] = nu[b], nu[a]
+                j = index.get(tuple(nu))
+                if j is not None:
+                    bit = 1 << j
+                    targets |= bit
+                    above |= up[j] ^ bit
+        covers.append(targets & ~above)
+        up.append(targets | above | 1 << len(up))
+    elements = [tuple(values[x] for x in mu) for mu in members]
     return OrbitPoset(t, gens, tuple(reversed(elements)), FinitePoset.from_cover_masks(elements, covers))
 
 
@@ -351,13 +345,9 @@ def is_tight(theta: Sequence, restriction: GenSet | None = None) -> tuple[bool, 
     """
     t = check_dominant(theta)
     gens = None if restriction is None else check_genset(restriction, len(t))
-    scaled = _integral(t)
-    _check_tight_bits(scaled, gens)
-    witness = _tight_witness(scaled, gens)
-    if witness is None:
-        return True, None
-    back = dict(zip(scaled, t))
-    return False, (_as_weight(witness[0], back), _as_weight(witness[1], back))
+    _check_tight_bits(t, gens)
+    witness = _tight_witness(t, gens)
+    return witness is None, witness
 
 
 #: The most mask bits ``is_tight`` may build: for each prefix length, one
@@ -370,22 +360,16 @@ def is_tight(theta: Sequence, restriction: GenSet | None = None) -> tuple[bool, 
 TIGHT_BIT_CAP = 1 << 24
 
 
-def _check_tight_bits(t: tuple[int, ...], gens: GenSet | None) -> None:
+def _check_tight_bits(t: tuple, gens: GenSet | None) -> None:
     """Refuse an orbit whose prefix-class masks could exceed ``TIGHT_BIT_CAP``.
 
     Before any member is built: the members are at most the double cosets
-    of the restriction and theta's stabilizer, and the classes of k-prefixes
-    at most the sub-multisets of k of theta's entries.
+    of the restriction and theta's stabilizer, and the classes of prefixes
+    of lengths 1 to d - 1 at most the sub-multisets of theta's entries
+    other than the empty and the full one.
     """
-    d = len(t)
-    members = coset_bound(
-        d, gens or frozenset(), frozenset(i for i in range(1, d) if t[i - 1] == t[i])
-    )
-    sizes = [1]  # sizes[k]: the sub-multisets of k entries seen so far
-    for x in set(t):
-        c = t.count(x)
-        sizes = [sum(sizes[max(0, k - c):k + 1]) for k in range(len(sizes) + c)]
-    classes = sum(sizes[1:-1])
+    members = coset_bound(len(t), gens or frozenset(), _stabilizer(t))
+    classes = math.prod(t.count(x) + 1 for x in set(t)) - 2
     if classes * members > TIGHT_BIT_CAP:
         raise CapExceeded(
             f"an orbit of up to {members} members in {classes} prefix classes exceeds "
@@ -403,10 +387,8 @@ def _dominance_masks(by_sum: dict[int, int]) -> dict[int, int]:
     return at_most
 
 
-def _tight_witness(
-    t: tuple[int, ...], gens: GenSet | None
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """``is_tight``'s witness on an integral dominant weight, or None when tight.
+def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
+    """``is_tight``'s witness on a dominant weight, or None when tight.
 
     Member j is above member i exactly when, for each prefix length k
     from 1 to d - 1, the sorted k-prefix of j is entrywise at most that
@@ -423,13 +405,12 @@ def _tight_witness(
     cost one AND per prefix it does not share with the member before,
     and the OR for a class is built when a scanned member first needs it.
 
-    Entries are replaced by their ranks, which keeps the member order,
-    the step order and the restriction; ``TIGHT_BIT_CAP`` keeps them
-    under 25, so a column of ranks is a ``bytes`` string.
+    The members are built on ranks (see ``_ranked``), and the prefix
+    sums and the witness read the values back.  ``TIGHT_BIT_CAP`` keeps
+    the ranks under 25, so a column of ranks is a ``bytes`` string.
     """
-    values = sorted(set(t))
-    rank = {v: x for x, v in enumerate(values)}
-    members = _rearrangements(tuple(rank[v] for v in t), gens or ())
+    values, ranks = _ranked(t)
+    members = _rearrangements(ranks, gens or ())
     n, d = len(members), len(t)
     # ones[x] translates rank x to the digit 1 and every other rank to 0
     ones = [b"0" * x + b"1" + b"0" * (255 - x) for x in range(len(values))]

@@ -94,6 +94,23 @@ def test_subword_oracle_refuses_long_targets():
         leq_subword_oracle(identity(6), w0, max_length=10)
 
 
+def test_lower_intervals_beyond_the_interval_cap_are_refused():
+    from dcbruhat.symgroup import CapExceeded
+
+    # 16 commuting transpositions: length 16 passes the word cap, yet
+    # the lower interval has 2^16 elements, more than 8!.
+    v = tuple(x for i in range(1, 33, 2) for x in (i + 1, i))
+    assert length(v) == 16
+    with pytest.raises(CapExceeded, match="interval cap"):
+        leq_subword_oracle(identity(32), v)
+    with pytest.raises(CapExceeded, match="interval cap"):
+        interval(identity(32), v)
+    # The whole group at degree 8 has exactly 8! elements and still runs.
+    w0 = longest_element(8)
+    assert leq_subword_oracle(identity(8), w0)
+    assert len(interval(w0, w0)) == 1
+
+
 def test_covers_are_tight_steps():
     for v in S4:
         for c in covers(v):

@@ -315,16 +315,16 @@ def dominated_masks(members):
 
 
 def orbit_mask_is_tight(theta, gens=None):
-    """``_orbit``'s reachability masks against dominance masks, from theta down."""
-    t, _, members, _, _, up = weights._orbit(theta, gens)
+    """``orbit_poset``'s reachability masks against dominance masks, from theta down."""
+    built = orbit_poset(theta, gens).poset
+    members, up = built.elements, built._up
     dom = dominated_masks(members)
-    back = dict(zip(members[-1], t))
     for i in range(len(members) - 1, -1, -1):
         mismatch = up[i] ^ dom[i]
         if mismatch:
             j = mismatch.bit_length() - 1
             assert not up[i] >> j & 1, "step order escaped dominance"
-            return False, tuple(tuple(back[x] for x in members[m]) for m in (i, j))
+            return False, (members[i], members[j])
     return True, None
 
 
@@ -368,6 +368,14 @@ def test_orbit_lists_distinct_rearrangements():
         assert orbit_size(theta) == len(orbit(theta))
 
 
+def test_orbits_beyond_the_listing_cap_are_refused(monkeypatch):
+    # The generic degree-8 orbit has exactly 8! members and still runs.
+    assert len(orbit(W(*range(7, -1, -1)))) == 40320
+    monkeypatch.setattr(weights, "_rearrangements", None)  # refused before enumeration
+    with pytest.raises(CapExceeded, match="listing cap"):
+        orbit(W(*range(8, -1, -1)))
+
+
 def member_bound(theta, gens):
     """The member cap's bound: cosets of the restriction and theta's stabilizer."""
     return coset_bound(len(theta), frozenset(gens), stabilizer_genset(theta))
@@ -391,7 +399,7 @@ def test_orbits_beyond_the_member_cap_are_refused(monkeypatch):
     with pytest.raises(CapExceeded, match="member cap"):
         orbit_poset(generic)
     # Pairs of adjacent positions tie up: 8!/2^4 = 2520 members fit.
-    assert member_bound(weights._integral(generic), {1, 3, 5, 7}) == 2520
+    assert member_bound(tuple(range(7, -1, -1)), {1, 3, 5, 7}) == 2520
     # is_tight and step_leq build no reachability: the whole group at
     # degree 8 runs (tight_scan(8, cap=8) is the slow acceptance check).
     assert is_tight(generic) == (False, (W(7, 6, 5, 4, 3, 0, 2, 1), W(7, 6, 5, 4, 2, 1, 0, 3)))
@@ -470,14 +478,14 @@ def closure_oracle(theta, gens):
 
 
 def assert_orbit_matches_closure(theta, gens):
-    t, checked, members, index, covers, up = weights._orbit(theta, gens)
-    assert t == check_dominant(theta) and checked == gens
-    want_members, want_index, want_up = closure_oracle(weights._integral(t), gens)
-    assert tuple(members) == want_members
-    assert index == want_index
-    assert up == want_up
+    built = orbit_poset(theta, gens)
+    assert built.theta == check_dominant(theta) and built.restriction == gens
+    want_members, want_index, want_up = closure_oracle(built.theta, gens)
+    assert built.poset.elements == want_members
+    assert built.poset._index == want_index
+    assert built.poset._up == want_up
     reduced = FinitePoset.from_up_masks(want_members, want_up)
-    assert set(reduced.covers) == {(members[i], members[j]) for i, j in poset._pairs(covers)}
+    assert set(reduced.covers) == set(built.poset.covers)
 
 
 def test_one_pass_builder_matches_the_closure():
