@@ -3,10 +3,8 @@ Strong (Bruhat) order on the symmetric group.
 
 The comparison comes in two forms: the sorted-prefix test ``leq`` on
 one-line words, and a subword-based check that walks a reduced word,
-used only as an oracle in tests.  ``covers``
-and ``interval`` build the combinatorial structure on top of the
-comparison; ``order_tables`` covers the whole group and is an oracle
-too.
+used only as an oracle in tests.  ``covers`` and ``interval`` build the
+combinatorial structure on top of the comparison.
 """
 from __future__ import annotations
 
@@ -14,12 +12,11 @@ import bisect
 import math
 from functools import lru_cache
 
-from .poset import FinitePoset, _transpose
+from .poset import FinitePoset
 from .symgroup import (
     DEFAULT_DEGREE_CAP,
     CapExceeded,
     Perm,
-    all_permutations,
     length,
     mult_right,
     right_descents,
@@ -120,8 +117,8 @@ def leq_subword_oracle(u: Perm, v: Perm, max_length: int = DEFAULT_WORD_CAP) -> 
     return u in _lower_interval(v)
 
 
-def _transposition_covers(v: Perm) -> frozenset[Perm]:
-    """Covers in the full group: one inversion more, nothing in between.
+def covers(v: Perm) -> frozenset[Perm]:
+    """Elements covering v in the group: one inversion more, nothing in between.
 
     Exchanging positions a < b with v_a < v_b is a cover exactly when no
     position between them holds a value between v_a and v_b.
@@ -140,22 +137,6 @@ def _transposition_covers(v: Perm) -> frozenset[Perm]:
     return frozenset(out)
 
 
-def covers(v: Perm, universe: frozenset[Perm] | None = None) -> frozenset[Perm]:
-    """Elements covering v, in the group or in an induced subposet.
-
-    Without ``universe``: all w with one more inversion and nothing in
-    between (the transposition covers).  With ``universe``: the cover
-    relation of the subposet induced on it, which is NOT the restriction
-    of the group covers; inside a sparse subset a cover can jump length
-    by more than one.
-    """
-    if universe is None:
-        return _transposition_covers(v)
-    if v not in universe:
-        raise ValueError(f"{v} is not in the given universe")
-    return frozenset(FinitePoset.from_relation(universe, leq).upper_covers(v))
-
-
 def interval(u: Perm, v: Perm) -> FinitePoset:
     """The poset on {w : u <= w <= v} with its cover relation.
 
@@ -169,28 +150,7 @@ def interval(u: Perm, v: Perm) -> FinitePoset:
     edges = [
         (w, c)
         for w in members
-        for c in _transposition_covers(w)
+        for c in covers(w)
         if c in members
     ]
     return FinitePoset(sorted(members), edges)
-
-
-@lru_cache(maxsize=8)
-def order_tables(degree: int) -> tuple[tuple[Perm, ...], dict[Perm, int], list[int], list[int]]:
-    """Dense comparability tables for a whole symmetric group.
-
-    Returns ``(elements, index, up, down)``: elements in lexicographic
-    order, their index lookup, and per-element bitmasks of everything
-    weakly above resp. weakly below, read off the group's
-    ``FinitePoset``.  Factorial in size, so it is kept as an oracle for
-    ``check_interval_property`` and the tests.
-    """
-    elements = tuple(all_permutations(degree))
-    group = FinitePoset(elements, ((w, c) for w in elements for c in covers(w)))
-    return elements, group._index, group._up, _transpose(group._up)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -12,9 +12,9 @@ cosets in Coxeter groups", Discrete Analysis 2018).  Each table yields
 its coset's unique shortest and longest members and its size without
 visiting the group.  ``decompose`` walks the tables, orders the cosets
 by their longest members and finds each table's covers among its 2x2
-moves; every other reader of the cosets reads its records, and
-``check_interval_property`` confirms against the whole-group order
-tables that each coset is a full interval.
+moves; every other reader of the cosets reads its records.
+``coset_members``, ``coset_of`` and ``factorize`` work on one coset at a
+time, by generator moves from a member.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from functools import lru_cache
 from operator import sub
 from typing import Iterator
 
-from .bruhat import order_tables
 from .poset import FinitePoset, _pairs
 from .symgroup import (
     DEFAULT_DEGREE_CAP,
@@ -462,22 +461,3 @@ def factorize(x: Perm, left_gens: GenSet, right_gens: GenSet) -> tuple[Perm, Per
         if length(u) + length(w) + length(v) == length(x):
             return u, w, v
     raise AssertionError(f"no factorization found for {x}; this is a bug")
-
-
-def check_interval_property(degree: int, left_gens: GenSet, right_gens: GenSet) -> bool:
-    """Every double coset must equal the full order interval between its ends.
-
-    An oracle: it walks each coset and reads the whole group's order
-    tables, whose enumeration keeps the degree cap.
-    """
-    left_gens = check_genset(left_gens, degree)
-    right_gens = check_genset(right_gens, degree)
-    elements, index, up, down = order_tables(degree)
-    for entry in decompose(degree, left_gens, right_gens).entries:
-        between = up[index[entry.min_rep]] & down[index[entry.max_rep]]
-        members = 0
-        for w in coset_members(entry.min_rep, left_gens, right_gens):
-            members |= 1 << index[w]
-        if between != members:
-            return False
-    return True

@@ -2,13 +2,11 @@
 Finite posets given by their Hasse diagrams, plus the small zoo of
 shapes our coset posets are classified against.
 
-A ``FinitePoset`` is immutable once built.  The constructor takes the
-covering relation and validates it outright (acyclic, transitively
-reduced), and so does ``from_cover_masks`` for covers already held as
-index bitmasks; ``from_relation`` builds the covers from a raw
-comparison instead, and ``from_up_masks`` from a relation already held
-as bitmasks; both reduce through ``hasse_reduction``.  Covers, lower
-covers and up-sets are kept as per-element bitmasks over element
+A ``FinitePoset`` is immutable once built, and it is built only from
+its covering relation: cover pairs through the constructor, or covers
+already held as index bitmasks through ``from_cover_masks``.  Both
+validate the covers outright (acyclic, transitively reduced).  Covers,
+lower covers and up-sets are kept as per-element bitmasks over element
 indices, so an element is hashed once, into the index lookup, and
 ``leq``, height and the exports stay cheap.  One pass in reverse
 topological order builds the up-sets and finds implied covers; only
@@ -25,31 +23,6 @@ from .symgroup import json_text
 
 class NotAPartialOrder(ValueError):
     """The input relation fails one of the partial order axioms."""
-
-
-def hasse_reduction(up: Sequence[int]) -> list[int]:
-    r"""Cover masks of a reflexive relation given by its up masks.
-
-    The covers of i are ``up[i] \ {i}`` minus the union of
-    ``up[j] \ {j}`` over j in that set.  Raises ``NotAPartialOrder``
-    when the relation is not transitive.
-
-    >>> hasse_reduction([0b111, 0b110, 0b100])
-    [2, 4, 0]
-    """
-    strict = [mask & ~(1 << i) for i, mask in enumerate(up)]
-    out = []
-    for i, mask in enumerate(up):
-        above = 0
-        m = strict[i]
-        while m:
-            low = m & -m
-            m ^= low
-            above |= strict[low.bit_length() - 1]
-        if above & ~mask:
-            raise NotAPartialOrder("relation is not transitive")
-        out.append(strict[i] & ~above)
-    return out
 
 
 def _indexed(elements: Iterable[Hashable]) -> tuple[tuple, dict]:
@@ -161,61 +134,21 @@ class FinitePoset:
         self._level = level
 
     @classmethod
-    def from_relation(
-        cls,
-        elements: Iterable[Hashable],
-        relation: Callable[[Hashable, Hashable], bool],
-    ) -> "FinitePoset":
-        """Build from a comparison callable, checking the order axioms.
-
-        The relation is evaluated on all pairs, so keep the element set
-        small.  Elements are sorted when they admit it, to make the
-        stored order deterministic.
-        """
-        elts = list(elements)
-        try:
-            elts.sort()
-        except TypeError:
-            pass
-        rel = [0] * len(elts)
-        for i, x in enumerate(elts):
-            for j, y in enumerate(elts):
-                if relation(x, y):
-                    rel[i] |= 1 << j
-        return cls.from_up_masks(elts, rel)
-
-    @classmethod
-    def from_up_masks(cls, elements: Sequence[Hashable], up: Sequence[int]) -> "FinitePoset":
-        """Build from relation masks, checking the order axioms.
-
-        Bit j of ``up[i]`` says ``elements[i] <= elements[j]``.  Elements
-        keep the given order.
-        """
-        elts, index = _indexed(elements)
-        n = len(elts)
-        if len(up) != n:
-            raise ValueError(f"{len(up)} masks for {n} elements")
-        for i in range(n):
-            if not up[i] >> i & 1:
-                raise NotAPartialOrder(f"relation is not reflexive at {elts[i]!r}")
-        cover_masks = hasse_reduction(up)
-        # A transitive relation is antisymmetric exactly when no two
-        # elements share an up-set.
-        first: dict[int, int] = {}
-        for j, mask in enumerate(up):
-            i = first.setdefault(mask, j)
-            if i != j:
-                raise NotAPartialOrder(f"relation is not antisymmetric on {elts[i]!r}, {elts[j]!r}")
-        poset = cls.__new__(cls)
-        poset._build(elts, index, cover_masks)
-        return poset
-
-    @classmethod
     def from_cover_masks(cls, elements: Sequence[Hashable], covers: Sequence[int]) -> "FinitePoset":
         """Build from cover masks over element indices, checking them outright.
 
         Bit j of ``covers[i]`` says ``elements[j]`` covers ``elements[i]``.
         The masks get the same checks as the constructor's cover pairs.
+
+        >>> p = FinitePoset.from_cover_masks("abc", [0b010, 0b100, 0])
+        >>> p.covers
+        (('a', 'b'), ('b', 'c'))
+        >>> p.leq("a", "c"), p.height()
+        (True, 2)
+        >>> FinitePoset.from_cover_masks("abc", [0b110, 0b100, 0])
+        Traceback (most recent call last):
+            ...
+        dcbruhat.poset.NotAPartialOrder: cover ('a', 'c') is implied by shorter covers
         """
         elts, index = _indexed(elements)
         n = len(elts)

@@ -29,9 +29,6 @@ from .poset import (
     FinitePoset,
     ShapeClass,
     classify_shape,
-    shape_template,
-    are_isomorphic,
-    _ladder_param,
 )
 from .symgroup import (
     GenSet,
@@ -217,30 +214,8 @@ def alt_bottom_length(q: int, n: int) -> int:
     return comb(n + 1, 2) + 1 - (n + 1 - q) - (n + 2 - q)
 
 
-def matches_family(poset: FinitePoset, shape: ShapeClass) -> bool:
-    """Membership in the predicted family, with open parameters allowed.
-
-    A prediction with ``param=None`` accepts any member of the family;
-    the concrete parameter is read off the constructed poset.
-    """
-    if shape.tag == POINT:
-        return len(poset) == 1
-    if shape.tag == CHAIN:
-        return poset.is_chain() and (shape.param is None or len(poset) == shape.param)
-    if shape.tag == STRETCHED_DIAMOND:
-        return len(poset) == 6 and are_isomorphic(poset, shape_template(shape))
-    if shape.tag in LADDER_TAGS:
-        if shape.param is not None:
-            return are_isomorphic(poset, shape_template(shape))
-        m = _ladder_param(shape.tag, len(poset))
-        return m is not None and are_isomorphic(
-            poset, shape_template(ShapeClass(shape.tag, m))
-        )
-    return False
-
-
 def _family_form(shape: ShapeClass) -> ShapeClass:
-    """The shape in the families ``matches_family`` accepts it under.
+    """The shape in the families a catalogued prediction names.
 
     A point is the one-element chain and the stretched diamond is the
     one-rung ladder of the first kind.
@@ -253,9 +228,11 @@ def _family_form(shape: ShapeClass) -> ShapeClass:
 
 
 def shape_in_family(actual: ShapeClass, predicted: ShapeClass) -> bool:
-    """``matches_family`` decided from the shape ``classify_shape`` returned.
+    """Whether the shape ``classify_shape`` returned lies in the predicted family.
 
-    Saves running the isomorphism test a second time per case.
+    A prediction with ``param=None`` accepts any member of the family.
+    Deciding it from the shape saves running the isomorphism test a
+    second time per case.
     """
     actual, predicted = _family_form(actual), _family_form(predicted)
     return actual.tag == predicted.tag and predicted.param in (None, actual.param)

@@ -333,9 +333,3 @@ def _json_parts(obj, newline: str, out: list[str]) -> None:
         out.append(newline + "}")
     else:
         raise TypeError(f"json_text cannot encode {kind.__name__}")
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -426,11 +426,12 @@ def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
                     key = tuple(sorted(c + (x,)))
                     level[key] = level.get(key, 0) | bits
         classes.append(level)
+    sum_of: dict[tuple[int, ...], int] = {}  # sorted prefix -> its sum
     below = [{}]
     for level in classes[1:]:
         by_sum: dict[int, int] = {}
         for c, bits in level.items():
-            v = sum(values[x] for x in c)
+            v = sum_of[c] = sum(values[x] for x in c)
             by_sum[v] = by_sum.get(v, 0) | bits
         below.append(_dominance_masks(by_sum))
 
@@ -453,7 +454,7 @@ def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
                 for other, bits in classes[k].items():
                     if all(a <= b for a, b in zip(other, c)):
                         above |= bits
-                masks = memo[k][c] = (above, below[k][sum(values[x] for x in c)])
+                masks = memo[k][c] = (above, below[k][sum_of[c]])
             up[k] = up[k - 1] & masks[0]
             dom[k] = dom[k - 1] & masks[1]
         mismatch = up[-1] ^ dom[-1]
@@ -587,9 +588,3 @@ def tight_scan(degree: int, cap: int = TIGHT_SCAN_CAP) -> TightScanReport:
                 )
             )
     return TightScanReport(degree, tuple(rows))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

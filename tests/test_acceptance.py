@@ -16,12 +16,7 @@ import pytest
 from dcbruhat import weights
 from dcbruhat.bruhat import leq, leq_subword_oracle
 from dcbruhat.cli import main
-from dcbruhat.parabolic import (
-    check_interval_property,
-    coset_of,
-    max_representatives,
-    min_representatives,
-)
+from dcbruhat.parabolic import coset_of, max_representatives, min_representatives
 from dcbruhat.poset import ShapeClass, classify_shape
 from dcbruhat.spherical import (
     _family_form,
@@ -40,6 +35,7 @@ from dcbruhat.weights import (
     step_leq,
     tight_scan,
 )
+from oracles import check_interval_property
 
 LADDER_TAGS = ("ladder-a", "ladder-b", "ladder-c", "ladder-d")
 CLOSED_FORM_TAGS = ("diamond",) + LADDER_TAGS

@@ -7,14 +7,13 @@ import pytest
 
 from dcbruhat.bruhat import leq
 from dcbruhat.parabolic import max_representatives
-from dcbruhat.poset import UNRECOGNIZED, FinitePoset, ShapeClass, classify_shape
+from dcbruhat.poset import UNRECOGNIZED, ShapeClass, classify_shape
 from dcbruhat.spherical import (
     NoClosedFormBottom,
     SphericalCase,
     _classify,
     alt_bottom_length,
     build_xplus_poset,
-    matches_family,
     predicted_bottom,
     shape_in_family,
     spherical_pairs,
@@ -22,6 +21,7 @@ from dcbruhat.spherical import (
     verify_theorem,
 )
 from dcbruhat.symgroup import full_genset, longest_element, parse_perm
+from oracles import matches_family, poset_from_relation
 
 
 def by_complements(degree):
@@ -276,7 +276,7 @@ def test_shape_in_family_agrees_with_matches_family(degree):
 def pairwise_xplus_poset(degree, ic, jc):
     """X+ as first built: the longest members, compared pairwise by ``leq``."""
     full = full_genset(degree)
-    return FinitePoset.from_relation(max_representatives(degree, full - ic, full - jc), leq)
+    return poset_from_relation(max_representatives(degree, full - ic, full - jc), leq)
 
 
 def assert_xplus_matches_pairwise_build(degree):
