@@ -13,8 +13,8 @@ its coset's unique shortest and longest members and its size without
 visiting the group.  ``decompose`` walks the tables, orders the cosets
 by their longest members and finds each table's covers among its 2x2
 moves; every other reader of the cosets reads its records.
-``coset_members``, ``coset_of`` and ``factorize`` work on one coset at a
-time, by generator moves from a member.
+``coset_of`` and ``factorize`` answer for one coset from the table of
+one member, and ``parabolic_elements`` lists a subgroup block by block.
 """
 from __future__ import annotations
 
@@ -35,25 +35,27 @@ from .symgroup import (
     compose,
     format_genset,
     format_perm,
-    identity,
     inverse,
     json_text,
-    length,
-    mult_left,
-    mult_right,
-    right_ascents,
 )
 
 
-@lru_cache(maxsize=256)
 def parabolic_elements(degree: int, gens: GenSet) -> frozenset[Perm]:
     """All elements of the subgroup generated by the given simple indices.
 
-    The subgroup is the double coset of the identity with a trivial left
-    factor.
+    The subgroup is the product of the symmetric groups on its blocks;
+    its order is checked against ``COSET_CAP`` before anything is listed.
     """
-    check_genset(gens, degree)
-    return coset_members(identity(degree), frozenset(), gens)
+    sizes = _blocks(degree, check_genset(gens, degree))
+    order = _factorial_product(sizes)
+    if order > COSET_CAP:
+        raise CapExceeded(
+            f"degree {degree} with this genset has a subgroup of {order} elements, "
+            f"over the enumeration cap {COSET_CAP}"
+        )
+    starts = itertools.accumulate(sizes, initial=1)
+    blocks = [itertools.permutations(range(s, s + k)) for s, k in zip(starts, sizes)]
+    return frozenset(sum(pieces, ()) for pieces in itertools.product(*blocks))
 
 
 class CosetEntry(namedtuple("CosetEntry", "min_rep max_rep size")):
@@ -244,11 +246,7 @@ def _longest_member(rows: tuple[int, ...], table) -> Perm:
     block's values out in decreasing order, to the right blocks from
     left to right, and lists each right block decreasing.
     """
-    high = []
-    top = 0
-    for size in rows:
-        top += size
-        high.append(top)
+    high = list(itertools.accumulate(rows))
     longest: list[int] = []
     upward = range(len(rows) - 1, -1, -1)
     for column in zip(*table):
@@ -261,27 +259,43 @@ def _longest_member(rows: tuple[int, ...], table) -> Perm:
     return tuple(longest)
 
 
-def _coset_entry(rows: tuple[int, ...], table, group_order: int, longest: Perm) -> CosetEntry:
-    """Shortest member and size of one table's coset, next to its longest member.
+def _shortest_member(rows: tuple[int, ...], table) -> Perm:
+    """The shortest member of one table's coset.
 
-    The shortest member hands each left block's values out in increasing
-    order, to the right blocks from left to right, and lists each right
-    block increasing.  The coset is W_I w W_J, of size
-    |W_I| |W_J| / |W_I cap w W_J w^-1|, and that intersection is the
-    product of the symmetric groups on the table's cells.
+    It hands each left block's values out in increasing order, to the
+    right blocks from left to right, and lists each right block
+    increasing.
     """
-    low = []
-    start = 0
-    for size in rows:
-        low.append(start + 1)
-        start += size
+    low = list(itertools.accumulate(rows, initial=1))
     shortest: list[int] = []
     for column in zip(*table):
         for a, m in enumerate(column):
             shortest.extend(range(low[a], low[a] + m))
             low[a] += m
+    return tuple(shortest)
+
+
+def _coset_entry(rows: tuple[int, ...], table, group_order: int, longest: Perm) -> CosetEntry:
+    """One table's coset, of size |W_I| |W_J| / |W_I cap w W_J w^-1|.
+
+    That intersection is the product of the symmetric groups on the cells.
+    """
     stabilizer = math.prod(math.factorial(m) for row in table for m in row)
-    return CosetEntry(tuple(shortest), longest, group_order // stabilizer)
+    return CosetEntry(_shortest_member(rows, table), longest, group_order // stabilizer)
+
+
+def _block_of(sizes: tuple[int, ...]) -> list[int]:
+    """The block index of each symbol 1, 2, ..., in order."""
+    return [a for a, size in enumerate(sizes) for _ in range(size)]
+
+
+def _table_of(rows: tuple[int, ...], cols: tuple[int, ...], w: Perm):
+    """The contingency table of w's coset, counting values of block a at positions of block b."""
+    row_of = _block_of(rows)
+    table = [[0] * len(cols) for _ in rows]
+    for value, b in zip(w, _block_of(cols)):
+        table[row_of[value - 1]][b] += 1
+    return tuple(map(tuple, table))
 
 
 def _margins(
@@ -393,71 +407,35 @@ def decompose(degree: int, left_gens: GenSet, right_gens: GenSet) -> DoubleCoset
     return DoubleCosetTable(degree, left_gens, right_gens, max_reps, tables, tuple(covers))
 
 
-def coset_members(w: Perm, left_gens: GenSet, right_gens: GenSet) -> frozenset[Perm]:
-    """All members of the double coset of w."""
-    degree = len(w)
-    left_gens = check_genset(left_gens, degree)
-    right_gens = check_genset(right_gens, degree)
-    block = {w}
-    frontier = [w]
-    while frontier:
-        x = frontier.pop()
-        for i in left_gens:
-            y = mult_left(x, i)
-            if y not in block:
-                block.add(y)
-                frontier.append(y)
-        for i in right_gens:
-            y = mult_right(x, i)
-            if y not in block:
-                block.add(y)
-                frontier.append(y)
-    return frozenset(block)
-
-
 def coset_of(w: Perm, left_gens: GenSet, right_gens: GenSet) -> tuple[Perm, Perm]:
-    """The shortest and longest members of the double coset of w."""
-    block = coset_members(w, left_gens, right_gens)
-    return min(block, key=length), max(block, key=length)
+    """The shortest and longest members of the double coset of w, from its table.
 
+    At degree 8 with the full left genset the coset is the whole group:
 
-def linking_genset(w: Perm, left_gens: GenSet, right_gens: GenSet) -> GenSet:
-    """Left indices that conjugate through the shortest member into the right side.
-
-    For a shortest coset member w, index i belongs when the positions of
-    the values i and i+1 in w are adjacent and their transposition index
-    lies in the right genset.  These are exactly the left generators
-    whose action on the coset can also be produced from the right.
+    >>> coset_of((5, 3, 8, 1, 7, 2, 6, 4), frozenset(range(1, 8)), frozenset({1, 2, 4, 5, 6}))
+    ((1, 2, 3, 4, 5, 6, 7, 8), (8, 7, 6, 5, 4, 3, 2, 1))
     """
-    wi = inverse(w)
-    out = set()
-    for i in left_gens:
-        a, b = wi[i - 1], wi[i]
-        if abs(a - b) == 1 and min(a, b) in right_gens:
-            out.add(i)
-    return frozenset(out)
+    degree = len(w)
+    rows = _blocks(degree, check_genset(left_gens, degree))
+    table = _table_of(rows, _blocks(degree, check_genset(right_gens, degree)), w)
+    return _shortest_member(rows, table), _longest_member(rows, table)
 
 
 def factorize(x: Perm, left_gens: GenSet, right_gens: GenSet) -> tuple[Perm, Perm, Perm]:
-    """Split x as (left part) * (shortest coset member) * (right part).
+    """Split x as u * w * v: left part, shortest coset member, right part.
 
-    The three factors are unique once the left part is required to have
-    every linking index as an ascent, and lengths add up.
+    The factors are unique once lengths add up and u has an ascent at
+    every linking index, every left index i whose values i and i+1 sit
+    side by side in w inside one right block.  Sorting each right block
+    of x gives y, the shortest member of x W_J; then u = y w^-1, which
+    keeps the order of values that share a right block, and v = y^-1 x.
+
+    >>> factorize((5, 3, 8, 1, 7, 2, 6, 4), frozenset(range(1, 8)), frozenset({1, 2, 4, 5, 6}))
+    ((3, 5, 8, 1, 2, 6, 7, 4), (1, 2, 3, 4, 5, 6, 7, 8), (2, 1, 3, 4, 7, 5, 6, 8))
     """
     degree = len(x)
-    left_gens = check_genset(left_gens, degree)
-    right_gens = check_genset(right_gens, degree)
-    w, _ = coset_of(x, left_gens, right_gens)
-    linking = linking_genset(w, left_gens, right_gens)
-    w_inv = inverse(w)
-    for u in sorted(parabolic_elements(degree, left_gens), key=lambda p: (length(p), p)):
-        # Dropping a linking descent of u would shorten the triple, so
-        # the canonical factorization forbids them.
-        if not linking <= right_ascents(u):
-            continue
-        v = compose(w_inv, compose(inverse(u), x))
-        if v not in parabolic_elements(degree, right_gens):
-            continue
-        if length(u) + length(w) + length(v) == length(x):
-            return u, w, v
-    raise AssertionError(f"no factorization found for {x}; this is a bug")
+    rows = _blocks(degree, check_genset(left_gens, degree))
+    cols = _blocks(degree, check_genset(right_gens, degree))
+    y = tuple(value for _, value in sorted(zip(_block_of(cols), x)))
+    w = _shortest_member(rows, _table_of(rows, cols, x))
+    return compose(y, inverse(w)), w, compose(inverse(y), x)

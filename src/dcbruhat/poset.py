@@ -440,21 +440,23 @@ def _ladder_param(tag: str, size: int) -> int | None:
 
 
 def classify_shape(p: FinitePoset) -> ShapeClass:
-    """Match a poset against the zoo, most specific family first.
+    """Match a poset against the zoo with at most one isomorphism test.
 
-    The families overlap at small parameters (a one-rung ladder of the
-    first kind is exactly the stretched diamond), so the order of the
-    checks is part of the contract: point, chain, stretched diamond,
-    then the ladders in family order.
+    Past a point and a chain, every family has a unique bottom and top.
+    Whether the bottom has one upper cover (a stem) and the top one
+    lower cover (a merge below the top) picks the one ladder family to
+    try; its one-rung ladder of the first kind is the stretched diamond.
     """
     if len(p) == 1:
         return ShapeClass(POINT)
     if p.is_chain():
         return ShapeClass(CHAIN, len(p))
-    if len(p) == 6 and are_isomorphic(p, shape_template(ShapeClass(STRETCHED_DIAMOND))):
-        return ShapeClass(STRETCHED_DIAMOND)
-    for tag in LADDER_TAGS:
-        m = _ladder_param(tag, len(p))
-        if m is not None and are_isomorphic(p, _ladder_template(tag, m)):
-            return ShapeClass(tag, m)
-    return ShapeClass(UNRECOGNIZED)
+    mins, maxs = p.minimal_elements(), p.maximal_elements()
+    if len(mins) != 1 or len(maxs) != 1:
+        return ShapeClass(UNRECOGNIZED)
+    stem, mid = len(p.upper_covers(mins[0])) == 1, len(p.lower_covers(maxs[0])) == 1
+    tag = (LADDER_A if mid else LADDER_B) if stem else (LADDER_C if mid else LADDER_D)
+    m = _ladder_param(tag, len(p))
+    if m is None or not are_isomorphic(p, _ladder_template(tag, m)):
+        return ShapeClass(UNRECOGNIZED)
+    return ShapeClass(STRETCHED_DIAMOND) if (tag, m) == (LADDER_A, 1) else ShapeClass(tag, m)

@@ -1,8 +1,9 @@
 """Brute-force oracles that the tests compare the package against.
 
 Each builds what no command needs: a Hasse diagram reduced from a whole
-relation, the order tables of a whole symmetric group, every coset of a
-pair checked against those tables, and family membership decided by
+relation, the order tables of a whole symmetric group, a coset's members
+by a breadth-first search over generator moves, every coset of a pair
+checked against those tables, and family membership decided by
 isomorphism against the templates.  Test files import them from here
 and keep no copies of their own.
 """
@@ -10,7 +11,7 @@ and keep no copies of their own.
 from functools import lru_cache
 
 from dcbruhat.bruhat import covers
-from dcbruhat.parabolic import coset_members, decompose
+from dcbruhat.parabolic import decompose
 from dcbruhat.poset import (
     CHAIN,
     LADDER_TAGS,
@@ -24,7 +25,7 @@ from dcbruhat.poset import (
     are_isomorphic,
     shape_template,
 )
-from dcbruhat.symgroup import all_permutations
+from dcbruhat.symgroup import all_permutations, check_genset, inverse, mult_left, mult_right
 
 
 def hasse_reduction(up):
@@ -85,6 +86,36 @@ def order_tables(degree):
     elements = tuple(all_permutations(degree))
     group = FinitePoset(elements, ((w, c) for w in elements for c in covers(w)))
     return elements, group._index, group._up, _transpose(group._up)
+
+
+def coset_members(w, left_gens, right_gens):
+    """All members of the double coset of w, by generator moves from w."""
+    degree = len(w)
+    left_gens = check_genset(left_gens, degree)
+    right_gens = check_genset(right_gens, degree)
+    block = {w}
+    frontier = [w]
+    while frontier:
+        x = frontier.pop()
+        for y in [mult_left(x, i) for i in left_gens] + [mult_right(x, i) for i in right_gens]:
+            if y not in block:
+                block.add(y)
+                frontier.append(y)
+    return frozenset(block)
+
+
+def linking_genset(w, left_gens, right_gens):
+    """Left indices that conjugate through the shortest member into the right side.
+
+    For a shortest coset member w, index i belongs when the positions of
+    the values i and i+1 in w are adjacent and their transposition index
+    lies in the right genset.  These are exactly the left generators
+    whose action on the coset can also be produced from the right.
+    """
+    wi = inverse(w)
+    return frozenset(
+        i for i in left_gens if abs(wi[i - 1] - wi[i]) == 1 and min(wi[i - 1], wi[i]) in right_gens
+    )
 
 
 def check_interval_property(degree, left_gens, right_gens):

@@ -22,11 +22,9 @@ from dcbruhat.parabolic import (
     _longest_member,
     _margins,
     _tables,
-    coset_members,
     coset_of,
     decompose,
     factorize,
-    linking_genset,
     max_representatives,
     min_representatives,
     parabolic_elements,
@@ -47,7 +45,7 @@ from dcbruhat.symgroup import (
     right_ascents,
     right_descents,
 )
-from oracles import check_interval_property, order_tables
+from oracles import check_interval_property, coset_members, linking_genset, order_tables
 
 perm6 = st.permutations(tuple(range(1, 7))).map(tuple)
 genset5 = st.frozensets(st.sampled_from(range(1, 6)))
@@ -413,6 +411,18 @@ def test_parabolic_subgroup_sizes():
     assert len(parabolic_elements(4, full_genset(4))) == 24
 
 
+def test_subgroups_beyond_the_listing_cap_are_refused(monkeypatch):
+    # The full subgroup at degree 8 has exactly 8! elements and still runs,
+    # and so do small blocks at any degree.
+    assert len(parabolic_elements(8, full_genset(8))) == 40320
+    assert len(parabolic_elements(12, frozenset({1, 3, 5, 7, 9, 11}))) == 64
+    monkeypatch.setattr(parabolic, "itertools", None)  # refused before enumeration
+    with pytest.raises(CapExceeded, match="enumeration cap"):
+        parabolic_elements(9, full_genset(9))
+    with pytest.raises(CapExceeded, match="enumeration cap"):
+        parabolic_elements(12, full_genset(12) - {9})
+
+
 def test_parabolic_subgroup_contains_identity_and_closes():
     gens = frozenset({1, 3})
     members = parabolic_elements(4, gens)
@@ -538,6 +548,42 @@ def test_factorize_reconstructs_with_additive_length(x, I, J):
     assert u in parabolic_elements(6, I)
     assert v in parabolic_elements(6, J)
     assert linking_genset(w, I, J) <= right_ascents(u)
+
+
+def assert_coset_functions_match_oracles(degree):
+    """``coset_of`` and ``factorize`` on every x and every pair at one degree.
+
+    The ends of each coset are checked against its breadth-first
+    members.  The factorization is unique, so its properties pin it.
+    """
+    group = list(all_permutations(degree))
+    for I, J in itertools.product(subsets(degree), repeat=2):
+        left, right = parabolic_elements(degree, I), parabolic_elements(degree, J)
+        seen = set()
+        for m in group:
+            if m in seen:
+                continue
+            members = coset_members(m, I, J)
+            seen |= members
+            ends = min(members, key=length), max(members, key=length)
+            for x in members:
+                assert coset_of(x, I, J) == ends
+                u, w, v = factorize(x, I, J)
+                assert compose(compose(u, w), v) == x
+                assert length(u) + length(w) + length(v) == length(x)
+                assert w == ends[0] and u in left and v in right
+                assert linking_genset(w, I, J) <= right_ascents(u)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_coset_functions_match_oracles_small(degree):
+    assert_coset_functions_match_oracles(degree)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("degree", [5, 6])
+def test_coset_functions_match_oracles(degree):
+    assert_coset_functions_match_oracles(degree)
 
 
 def test_factorize_exhaustive_one_pair():

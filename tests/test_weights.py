@@ -510,13 +510,25 @@ def test_one_pass_builder_matches_the_closure_on_large_orbits(theta, gens):
     assert_orbit_matches_closure(theta, gens)
 
 
+def package_modules():
+    return [dcbruhat] + [
+        importlib.import_module(f"dcbruhat.{info.name}") for info in pkgutil.iter_modules(dcbruhat.__path__)
+    ]
+
+
 def test_the_package_reduces_no_relation():
     # Posets are built from covers alone; relation reductions and the
     # whole-group tables live in the test oracles.
-    modules = [dcbruhat] + [
-        importlib.import_module(f"dcbruhat.{info.name}") for info in pkgutil.iter_modules(dcbruhat.__path__)
-    ]
+    modules = package_modules()
     for name in ("hasse_reduction", "from_relation", "from_up_masks", "order_tables"):
         assert not hasattr(FinitePoset, name)
         for module in modules:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_the_package_walks_no_coset_by_generator_moves():
+    # Cosets are read off contingency tables; the breadth-first search
+    # over generator moves lives in the test oracles.
+    for name in ("coset_members", "linking_genset"):
+        for module in package_modules():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
