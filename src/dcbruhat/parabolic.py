@@ -32,6 +32,7 @@ from .symgroup import (
     GenSet,
     Perm,
     check_genset,
+    check_word,
     compose,
     format_genset,
     format_perm,
@@ -276,10 +277,7 @@ def _shortest_member(rows: tuple[int, ...], table) -> Perm:
 
 
 def _coset_entry(rows: tuple[int, ...], table, group_order: int, longest: Perm) -> CosetEntry:
-    """One table's coset, of size |W_I| |W_J| / |W_I cap w W_J w^-1|.
-
-    That intersection is the product of the symmetric groups on the cells.
-    """
+    """One table's coset, of size |W_I| |W_J| over the product of its cells' factorials."""
     stabilizer = math.prod(math.factorial(m) for row in table for m in row)
     return CosetEntry(_shortest_member(rows, table), longest, group_order // stabilizer)
 
@@ -415,7 +413,7 @@ def coset_of(w: Perm, left_gens: GenSet, right_gens: GenSet) -> tuple[Perm, Perm
     >>> coset_of((5, 3, 8, 1, 7, 2, 6, 4), frozenset(range(1, 8)), frozenset({1, 2, 4, 5, 6}))
     ((1, 2, 3, 4, 5, 6, 7, 8), (8, 7, 6, 5, 4, 3, 2, 1))
     """
-    degree = len(w)
+    degree = len(check_word(w))
     rows = _blocks(degree, check_genset(left_gens, degree))
     table = _table_of(rows, _blocks(degree, check_genset(right_gens, degree)), w)
     return _shortest_member(rows, table), _longest_member(rows, table)
@@ -433,7 +431,7 @@ def factorize(x: Perm, left_gens: GenSet, right_gens: GenSet) -> tuple[Perm, Per
     >>> factorize((5, 3, 8, 1, 7, 2, 6, 4), frozenset(range(1, 8)), frozenset({1, 2, 4, 5, 6}))
     ((3, 5, 8, 1, 2, 6, 7, 4), (1, 2, 3, 4, 5, 6, 7, 8), (2, 1, 3, 4, 7, 5, 6, 8))
     """
-    degree = len(x)
+    degree = len(check_word(x))
     rows = _blocks(degree, check_genset(left_gens, degree))
     cols = _blocks(degree, check_genset(right_gens, degree))
     y = tuple(value for _, value in sorted(zip(_block_of(cols), x)))

@@ -2,7 +2,7 @@
 
 Each builds what no command needs: a Hasse diagram reduced from a whole
 relation, the order tables of a whole symmetric group, a coset's members
-by a breadth-first search over generator moves, every coset of a pair
+found by closing one member under generator moves, every coset of a pair
 checked against those tables, and family membership decided by
 isomorphism against the templates.  Test files import them from here
 and keep no copies of their own.
@@ -97,7 +97,13 @@ def coset_members(w, left_gens, right_gens):
     frontier = [w]
     while frontier:
         x = frontier.pop()
-        for y in [mult_left(x, i) for i in left_gens] + [mult_right(x, i) for i in right_gens]:
+        for i in left_gens:
+            y = mult_left(x, i)
+            if y not in block:
+                block.add(y)
+                frontier.append(y)
+        for i in right_gens:
+            y = mult_right(x, i)
             if y not in block:
                 block.add(y)
                 frontier.append(y)
@@ -113,9 +119,12 @@ def linking_genset(w, left_gens, right_gens):
     whose action on the coset can also be produced from the right.
     """
     wi = inverse(w)
-    return frozenset(
-        i for i in left_gens if abs(wi[i - 1] - wi[i]) == 1 and min(wi[i - 1], wi[i]) in right_gens
-    )
+    out = set()
+    for i in left_gens:
+        a, b = wi[i - 1], wi[i]
+        if abs(a - b) == 1 and min(a, b) in right_gens:
+            out.add(i)
+    return frozenset(out)
 
 
 def check_interval_property(degree, left_gens, right_gens):

@@ -553,8 +553,8 @@ def test_factorize_reconstructs_with_additive_length(x, I, J):
 def assert_coset_functions_match_oracles(degree):
     """``coset_of`` and ``factorize`` on every x and every pair at one degree.
 
-    The ends of each coset are checked against its breadth-first
-    members.  The factorization is unique, so its properties pin it.
+    The ends of each coset are checked against the oracle's members.
+    The factorization is unique, so its properties pin it.
     """
     group = list(all_permutations(degree))
     for I, J in itertools.product(subsets(degree), repeat=2):
@@ -584,6 +584,13 @@ def test_coset_functions_match_oracles_small(degree):
 @pytest.mark.parametrize("degree", [5, 6])
 def test_coset_functions_match_oracles(degree):
     assert_coset_functions_match_oracles(degree)
+
+
+@pytest.mark.parametrize("word", [(1, 1, 3), (1, 2, 5), (0, 1, 2)])
+def test_coset_functions_refuse_a_non_permutation(word):
+    for function in (coset_of, factorize):
+        with pytest.raises(ValueError, match="not a permutation word"):
+            function(word, frozenset({1}), frozenset({2}))
 
 
 def test_factorize_exhaustive_one_pair():

@@ -527,7 +527,7 @@ def test_the_package_reduces_no_relation():
 
 
 def test_the_package_walks_no_coset_by_generator_moves():
-    # Cosets are read off contingency tables; the breadth-first search
+    # Cosets are read off contingency tables; the search
     # over generator moves lives in the test oracles.
     for name in ("coset_members", "linking_genset"):
         for module in package_modules():
