@@ -2,21 +2,21 @@
 Strong (Bruhat) order on the symmetric group.
 
 The comparison comes in two forms: the sorted-prefix test ``leq`` on
-one-line words, and a subword-based check that walks a reduced word,
-used only as an oracle in tests.  ``covers`` and ``interval`` build the
-combinatorial structure on top of the comparison.
+one-line words, and a lifting-property check that walks one reduced
+word, kept as an independent oracle.  ``covers`` and ``interval`` build
+the combinatorial structure on top of the comparison.
 """
 from __future__ import annotations
 
 import bisect
 import math
-from functools import lru_cache
 
 from .poset import FinitePoset
 from .symgroup import (
     DEFAULT_DEGREE_CAP,
     CapExceeded,
     Perm,
+    identity,
     length,
     mult_right,
     right_descents,
@@ -25,9 +25,9 @@ from .symgroup import (
 #: Largest Coxeter length the subword oracle will walk.
 DEFAULT_WORD_CAP = 28
 
-#: Most elements a lower interval may grow to: the whole group at the
-#: default degree cap.  Each letter of the reduced word at most doubles
-#: the set, so the work stays under twice this many elements.
+#: Most products an interval's growth may hold: the whole group at the
+#: default degree cap.  Only products that can still reach the bottom's
+#: length count, and each letter at most doubles them.
 INTERVAL_CAP = math.factorial(DEFAULT_DEGREE_CAP)
 
 
@@ -76,37 +76,12 @@ def reduced_word(v: Perm) -> tuple[int, ...]:
     return tuple(word)
 
 
-@lru_cache(maxsize=1024)
-def _lower_interval(v: Perm) -> frozenset[Perm]:
-    """Everything below v, grown along one reduced word of v.
-
-    Scanning a reduced word left to right and optionally applying each
-    letter reaches exactly the elements of the lower interval; which
-    reduced word is used does not matter.  The growth stops with
-    ``CapExceeded`` as soon as the set passes ``INTERVAL_CAP``.
-    """
-    word = reduced_word(v)
-    reach: set[Perm] = {tuple(range(1, len(v) + 1))}
-    for i in word:
-        extra = set()
-        for w in reach:
-            wi = mult_right(w, i)
-            if wi not in reach:
-                extra.add(wi)
-        reach |= extra
-        if len(reach) > INTERVAL_CAP:
-            raise CapExceeded(
-                f"the lower interval of a length-{len(word)} element passes "
-                f"the interval cap {INTERVAL_CAP}"
-            )
-    return frozenset(reach)
-
-
 def leq_subword_oracle(u: Perm, v: Perm, max_length: int = DEFAULT_WORD_CAP) -> bool:
-    """Slow comparison via the subword property, for cross-checking ``leq``.
+    """Comparison by the lifting property, for cross-checking ``leq``.
 
-    Materializes the lower interval of v, so it refuses to run when v is
-    too long for that to be sane.
+    Walks one reduced word of v from the right, clearing each letter from
+    u when it is a right descent of u: u <= v iff u ends as the identity
+    (Bjorner-Brenti, Prop. 2.2.7).
     """
     if len(u) != len(v):
         raise ValueError(f"degree mismatch: {len(u)} vs {len(v)}")
@@ -114,7 +89,10 @@ def leq_subword_oracle(u: Perm, v: Perm, max_length: int = DEFAULT_WORD_CAP) -> 
         raise CapExceeded(
             f"length {length(v)} exceeds the subword oracle cap {max_length}"
         )
-    return u in _lower_interval(v)
+    for i in reversed(reduced_word(v)):
+        if u[i - 1] > u[i]:
+            u = mult_right(u, i)
+    return u == identity(len(u))
 
 
 def covers(v: Perm) -> frozenset[Perm]:
@@ -146,7 +124,21 @@ def interval(u: Perm, v: Perm) -> FinitePoset:
     """
     if not leq(u, v):
         raise ValueError(f"{u} is not below {v}; empty interval")
-    members = {w for w in _lower_interval(v) if leq(u, w)}
+    # Each member is the product of a reduced subword of v's word, grown
+    # letter by letter through ascents; a product that the remaining
+    # letters cannot lift to the length of u leads to no member.
+    word = reduced_word(v)
+    floor = length(u)
+    grown = {identity(len(v)): 0}
+    for rest, i in zip(range(len(word) - 1, -1, -1), word):
+        step = {w: n for w, n in grown.items() if n + rest >= floor}
+        for w, n in grown.items():
+            if w[i - 1] < w[i] and n + 1 + rest >= floor:
+                step[mult_right(w, i)] = n + 1
+        grown = step
+        if len(grown) > INTERVAL_CAP:
+            raise CapExceeded(f"growing the interval passes the interval cap {INTERVAL_CAP}")
+    members = {w for w in grown if leq(u, w)}
     edges = [
         (w, c)
         for w in members

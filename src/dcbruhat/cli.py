@@ -76,7 +76,7 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _parse_degree_range(text: str) -> list[int]:
+def _parse_degree_range(text: str) -> range:
     lo_text, dots, hi_text = text.partition("..")
     try:
         lo = int(lo_text)
@@ -85,7 +85,7 @@ def _parse_degree_range(text: str) -> list[int]:
         raise ValueError(f"bad degree range: {text!r}") from None
     if lo < 2 or hi < lo:
         raise ValueError(f"bad degree range: {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def cmd_cosets(args) -> int:

@@ -29,16 +29,17 @@ restriction; the values come back only for prefix sums and for what the
 public functions return.
 
 ``fractions`` (which loads ``decimal`` and ``numbers``) is imported
-inside the three functions that build a ``Fraction``: ``check_weight``,
-``parse_weight`` and ``dominant_shape``.  So importing this module, as
-every CLI start does, does not load it.  The orbit command pays for it;
-the tightness command does not, since ``tight_scan`` works on int
-staircases throughout.
+inside the two functions that build a ``Fraction``: ``check_weight``,
+which ``parse_weight`` calls, and ``dominant_shape``.  So importing this
+module, as every CLI start does, does not load it.  The orbit command
+pays for it; the tightness command does not, since ``tight_scan`` works
+on int staircases throughout.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -65,6 +66,14 @@ def check_weight(values: Sequence) -> Weight:
 
     if not values:
         raise ValueError("empty weight")
+    # Text whose exponent reaches the digits the interpreter prints would
+    # take minutes to build, and its value could not be printed.  Before
+    # Python 3.10.7 there is no such limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for x in values:
+        e = x.lower().partition("e")[2].strip() if isinstance(x, str) else ""
+        if limit and e.lstrip("+-").replace("_", "").isdigit() and abs(int(e)) >= limit:
+            raise ValueError(f"exponent of {x!r} reaches the {limit}-digit limit")
     return tuple(Fraction(x) for x in values)
 
 
@@ -85,13 +94,11 @@ def parse_weight(text: str) -> Weight:
     >>> parse_weight("2,1,1,0")
     (Fraction(2, 1), Fraction(1, 1), Fraction(1, 1), Fraction(0, 1))
     """
-    from fractions import Fraction
-
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(not p for p in parts):
         raise ValueError(f"bad weight text: {text!r}")
     try:
-        return tuple(Fraction(p) for p in parts)
+        return check_weight(parts)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad weight text: {text!r}") from None
 

@@ -1,6 +1,7 @@
 """Strong order: prefix test, reduced words, covers, intervals."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -97,12 +98,12 @@ def test_subword_oracle_refuses_long_targets():
 def test_lower_intervals_beyond_the_interval_cap_are_refused():
     from dcbruhat.symgroup import CapExceeded
 
-    # 16 commuting transpositions: length 16 passes the word cap, yet
-    # the lower interval has 2^16 elements, more than 8!.
+    # 16 commuting transpositions: length 16 is within the word cap, and
+    # the lower interval has 2^16 elements, more than 8!.  The oracle
+    # grows nothing, so it answers; interval refuses to grow them all.
     v = tuple(x for i in range(1, 33, 2) for x in (i + 1, i))
     assert length(v) == 16
-    with pytest.raises(CapExceeded, match="interval cap"):
-        leq_subword_oracle(identity(32), v)
+    assert leq_subword_oracle(identity(32), v)
     with pytest.raises(CapExceeded, match="interval cap"):
         interval(identity(32), v)
     # The whole group at degree 8 has exactly 8! elements and still runs.
@@ -125,15 +126,34 @@ def test_interval_requires_comparable_endpoints():
         interval((2, 1, 3), (1, 3, 2))
 
 
-def test_interval_membership_and_covers():
-    u, v = (1, 2, 3, 4), (3, 4, 1, 2)
+def _check_interval(u, v, group):
     p = interval(u, v)
-    expected = {w for w in S4 if leq(u, w) and leq(w, v)}
-    assert set(p.elements) == expected
+    members = {w for w in group if leq(u, w) and leq(w, v)}
+    assert set(p.elements) == members
     assert p.bottom() == u
     assert p.top() == v
-    for lo, hi in p.covers:
-        assert length(hi) == length(lo) + 1
+    assert set(p.covers) == {(w, c) for w in members for c in covers(w) if c in members}
+
+
+def test_interval_membership_and_covers():
+    for u, v in itertools.product(S4, repeat=2):
+        if leq(u, v):
+            _check_interval(u, v, S4)
+    rng = random.Random(20)
+    S6 = list(all_permutations(6))
+    pairs = [tuple(sorted(rng.sample(S6, 2), key=length)) for _ in range(400)]
+    comparable = [(u, v) for u, v in pairs if leq(u, v)]
+    assert len(comparable) >= 50
+    for u, v in comparable[:80]:
+        _check_interval(u, v, S6)
+
+
+def test_interval_grows_only_what_reaches_the_bottom():
+    # The lower interval of v has 2^16 elements, past the cap, but only
+    # the products that can still reach u are grown.
+    v = tuple(x for i in range(1, 33, 2) for x in (i + 1, i))
+    u = mult_right(v, 1)
+    assert set(interval(u, v).elements) == {u, v}
 
 
 def test_whole_group_interval_height():

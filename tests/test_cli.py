@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -299,6 +300,36 @@ def test_non_dominant_weight_is_shown_in_cli_form(capsys):
     )
     assert run(capsys, "orbit", "--theta", "1/2,1,0") == (
         2, "", "error: weight is not weakly decreasing: 1/2,1,0\n"
+    )
+
+
+def test_degree_range_past_the_cap_is_refused_without_listing_it(capsys, monkeypatch):
+    import tracemalloc
+
+    monkeypatch.delenv(ENV_DEGREE_CAP, raising=False)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--degrees", "2..1000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", "error: degree 9 exceeds the cap 8\n")
+    assert peak < 1_000_000
+
+
+def test_weight_exponents_past_the_print_limit_are_refused(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "orbit", "--theta", "1e300000000,0")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(ValueError, match="digit limit"):
+        weights.check_weight(["1e-300000000"])
+    # An exponent the interpreter can still print is read as before.
+    code, out, _ = run(capsys, "orbit", "--theta", "1e400,0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "579c907385c609ec1fde86aaa1a48c5cded7b08f0304d5704438ce2d88f56bd6"
     )
 
 
