@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
-from math import comb
 
 from .parabolic import decompose
 from .poset import (
@@ -199,19 +198,6 @@ def predicted_bottom(case: SphericalCase) -> Perm:
         raise NoClosedFormBottom(f"no bottom formula for case tag {case.tag!r}")
     bottom = check_word(word)
     return _mirror_word(bottom) if case.mirrored else bottom
-
-
-def alt_bottom_length(q: int, n: int) -> int:
-    """Length of the rejected bottom candidate in the diamond analysis.
-
-    The diamond minimum could a priori start with the long descending
-    run instead of with "2 1"; this is that word's inversion count.
-    Comparing it against 1 + C(n-1, 2), the length of the chosen
-    candidate, certifies the choice.
-    """
-    if not 3 < q < n:
-        raise ValueError(f"need 3 < q < n, got q={q}, n={n}")
-    return comb(n + 1, 2) + 1 - (n + 1 - q) - (n + 2 - q)
 
 
 def _family_form(shape: ShapeClass) -> ShapeClass:

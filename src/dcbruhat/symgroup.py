@@ -106,14 +106,6 @@ def inverse(w: Perm) -> Perm:
     return tuple(out)
 
 
-def simple_transposition(degree: int, i: int) -> Perm:
-    if not 1 <= i <= degree - 1:
-        raise ValueError(f"simple transposition index {i} out of range for degree {degree}")
-    w = list(range(1, degree + 1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
-
-
 def mult_right(w: Perm, i: int) -> Perm:
     """w times the simple transposition with index i (swaps positions i, i+1)."""
     if not 1 <= i <= len(w) - 1:
@@ -121,13 +113,6 @@ def mult_right(w: Perm, i: int) -> Perm:
     out = list(w)
     out[i - 1], out[i] = out[i], out[i - 1]
     return tuple(out)
-
-
-def mult_left(w: Perm, i: int) -> Perm:
-    """The simple transposition with index i times w (swaps the values i, i+1)."""
-    if not 1 <= i <= len(w) - 1:
-        raise ValueError(f"simple transposition index {i} out of range for degree {len(w)}")
-    return tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
 
 
 def right_descents(w: Perm) -> GenSet:
@@ -146,16 +131,6 @@ def right_ascents(w: Perm) -> GenSet:
     [2]
     """
     return frozenset(i for i in range(1, len(w)) if w[i - 1] < w[i])
-
-
-def left_descents(w: Perm) -> GenSet:
-    """Indices whose transposition shortens w when applied on the left."""
-    return right_descents(inverse(w))
-
-
-def left_ascents(w: Perm) -> GenSet:
-    """Indices whose transposition lengthens w when applied on the left."""
-    return right_ascents(inverse(w))
 
 
 def all_permutations(degree: int, cap: int | None = DEFAULT_DEGREE_CAP) -> Iterator[Perm]:

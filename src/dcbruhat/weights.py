@@ -18,10 +18,13 @@ compares against the closed-form rule.
 
 The step order is Bruhat order on a parabolic quotient, so it has the
 sorted-prefix test of ``bruhat.leq``, and dominance is a test on prefix
-sums.  ``step_leq`` applies the first test to two weights, and
-``is_tight`` compares the two through masks of members by prefix class,
-so neither builds the orbit's reachability; ``orbit_poset`` builds it,
-with the covers.
+sums; both read only the class of each prefix, its entries as a
+multiset.  ``step_leq`` applies the first test to two weights.
+``is_tight`` walks one member from theta down without listing the orbit,
+carries the prefix classes the other member can have as bitmasks over
+the sub-multisets of theta's entries, and stops at the first
+disagreement.  Neither builds the orbit's reachability; ``orbit_poset``
+builds it, with the covers.
 
 Internally an orbit runs on the ranks of theta's entries among its
 distinct values, which keep the member order, the step order and the
@@ -37,8 +40,10 @@ on int staircases throughout.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import sys
 from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -357,13 +362,15 @@ def is_tight(theta: Sequence, restriction: GenSet | None = None) -> tuple[bool, 
     return witness is None, witness
 
 
-#: The most mask bits ``is_tight`` may build: for each prefix length, one
-#: mask as wide as the orbit per class of sorted prefixes.  The whole
-#: group at degree 8 takes 254 classes × 8! members, about 10.2M bits,
-#: and 0.1 s, and ``tight --degree 8`` about 1 s in all; degree 9 would
-#: take 510 × 9!, about 185M bits, and ``tight --degree 9`` about 20 s and
-#: 105 MiB (2 cores, Python 3.11).  With d distinct entries there are at
-#: least 2^d - 2 classes, so fewer than 25 distinct entries pass.
+#: The most mask bits ``is_tight`` may take, counted as classes of sorted
+#: prefixes × members: its walk visits at most degree × members prefixes,
+#: each on masks of one bit per class, the empty and the full one
+#: included.  The whole group at degree 8 takes 254 classes × 8! members,
+#: about 10.2M bits, and ``tight_scan(8, cap=8)`` about 0.03 s; degree 9
+#: would take 510 × 9!, about 185M bits, and ``tight_scan(9, cap=9)``
+#: about 0.1 s with the cap lifted (2 cores, Python 3.11).  With d
+#: distinct entries there are at least 2^d - 2 classes, so fewer than 25
+#: distinct entries pass.
 TIGHT_BIT_CAP = 1 << 24
 
 
@@ -384,96 +391,253 @@ def _check_tight_bits(t: tuple, gens: GenSet | None) -> None:
         )
 
 
-def _dominance_masks(by_sum: dict[int, int]) -> dict[int, int]:
-    """From members by prefix sum to members whose prefix sum is at most each value."""
+def _tile(pattern: int, period: int, copies: int) -> int:
+    """The given number of copies of a bit pattern, one every ``period`` bits.
+
+    >>> bin(_tile(0b01, 2, 3))
+    '0b10101'
+    """
+    out = shift = 0
+    while copies:
+        if copies & 1:
+            out |= pattern << shift
+            shift += period
+        pattern |= pattern << period
+        period *= 2
+        copies >>= 1
+    return out
+
+
+def _dominance_tables(scaled: list[int], count: list[int], weight: list[int], need: list[int]) -> list[dict[int, int]]:
+    """Per prefix length k, from each sum to the classes of members' k-prefixes of at most that sum.
+
+    A class is a sub-multiset B of the ranks, kept at bit sum(B[x] *
+    weight[x]), and its sum is taken over ``scaled``.  Without tied
+    positions every sub-multiset of theta's ranks is a class of some
+    member's prefix, and they are listed rank by rank.  Otherwise a
+    breadth-first pass over prefixes builds the classes, keyed at a
+    position tied to the one before by the last rank as well, and keeps
+    a prefix only while the ``need[k]`` positions left in its tied block
+    can still take ranks at most its last.
+    """
+    r, d = len(count), len(need) - 1
+    levels: list[dict[int, int]] = [{} for _ in range(d + 1)]  # class -> sum
+    if not any(need):
+        listed = [(0, 0, 0)]  # class, size, sum
+        for n, w, v in zip(count, weight, scaled):
+            listed = [(c + j * w, k + j, s + j * v) for c, k, s in listed for j in range(n + 1)]
+        for c, k, s in listed:
+            levels[k][c] = s
+    else:
+        total = [0, *itertools.accumulate(count)]
+        level = {(0, r - 1): ((0,) * (r + 1), 0)}  # (class, highest rank next) -> entries of rank below x, sum
+        for k in range(1, d + 1):
+            grown: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
+            for (c, top), (low, s) in level.items():
+                for z in range(top + 1):
+                    key = c + weight[z], z if need[k] else r - 1
+                    if key in grown or low[z + 1] - low[z] == count[z]:
+                        continue
+                    if need[k] and total[z + 1] - low[z + 1] <= need[k]:
+                        continue
+                    grown[key] = low[: z + 1] + tuple(m + 1 for m in low[z + 1 :]), s + scaled[z]
+            level = grown
+            levels[k] = {c: s for (c, _), (_, s) in level.items()}
+    return [_cumulative((s, 1 << c) for c, s in level.items()) for level in levels]
+
+
+def _cumulative(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """From (key, mask) pairs to each key's OR of the masks of keys at most it."""
+    by_key: dict[int, int] = {}
+    for key, mask in pairs:
+        by_key[key] = by_key.get(key, 0) | mask
     acc = 0
-    at_most = {}
-    for v in sorted(by_sum):
-        acc |= by_sum[v]
-        at_most[v] = acc
-    return at_most
+    for key in sorted(by_key):
+        acc |= by_key[key]
+        by_key[key] = acc
+    return by_key
 
 
 def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
     """``is_tight``'s witness on a dominant weight, or None when tight.
 
-    Member j is above member i exactly when, for each prefix length k
-    from 1 to d - 1, the sorted k-prefix of j is entrywise at most that
-    of i (see ``step_leq``), and i dominates j exactly when each k-prefix
-    sum of j is at most that of i.  So both orders are ANDs over k of
-    masks over all members, kept per class of sorted k-prefixes:
-    - the members of a k-prefix class are those of a (k-1)-prefix class
-      that hold the missing value at position k; that position's column
-      of the members gives one bit string per value;
-    - a member's up mask at k ORs the classes entrywise at most its own,
-      and its dominance mask the classes of prefix sum at most its own.
-    The scan runs from theta down and stops at the first mismatch.
-    Members sharing a k-prefix are consecutive, so a member's masks
-    cost one AND per prefix it does not share with the member before,
-    and the OR for a class is built when a scanned member first needs it.
+    Member nu is above member mu exactly when, for each prefix length k,
+    the sorted k-prefix of nu is entrywise at most that of mu (see
+    ``step_leq``), and mu dominates nu exactly when each k-prefix sum of
+    nu is at most that of mu.  Both tests read only the classes of the
+    two k-prefixes, so each class of mu's prefixes gets two masks of
+    classes, the second nested in the first.
 
-    The members are built on ranks (see ``_ranked``), and the prefix
-    sums and the witness read the values back.  ``TIGHT_BIT_CAP`` keeps
-    the ranks under 25, so a column of ranks is a ``bytes`` string.
+    mu walks the members depth first from theta down, in decreasing
+    lexicographic order, and the orbit is never listed.  Along the walk,
+    the classes of nu's k-prefixes are carried as two masks: R, those
+    some nu can have while its prefix sums stayed at most mu's at every
+    length so far, and T within R, those whose sorted prefix has also
+    failed at some length to be entrywise at most mu's.  One position
+    shifts both by each rank's weight where a class has room for the
+    rank, and ANDs them with the masks of mu's new class.  Where the next
+    position is tied to the last, they are kept per last rank.  The first
+    mu whose T is nonempty at full length is the witness's mu, and nu is
+    the largest member in that T: one greedy pass from the top reads it
+    against masks of the prefixes from which such a nu can be completed,
+    built backward along mu's classes.
+
+    The members and the classes are built on ranks (see ``_ranked``),
+    and the prefix sums and the witness read the values back.
     """
     values, ranks = _ranked(t)
-    members = _rearrangements(ranks, gens or ())
-    n, d = len(members), len(t)
-    # ones[x] translates rank x to the digit 1 and every other rank to 0
-    ones = [b"0" * x + b"1" + b"0" * (255 - x) for x in range(len(values))]
-    classes = [{(): (1 << n) - 1}]  # per prefix length: sorted prefix -> members
-    for column in itertools.islice(zip(*members), d - 1):
-        digits = bytes(reversed(column))  # member 0 last: the lowest bit
-        holding = [int(digits.translate(one), 2) for one in ones]
-        level: dict[tuple[int, ...], int] = {}
-        for c, mask in classes[-1].items():
-            for x, bits in enumerate(holding):
-                bits &= mask
-                if bits:
-                    key = tuple(sorted(c + (x,)))
-                    level[key] = level.get(key, 0) | bits
-        classes.append(level)
-    sum_of: dict[tuple[int, ...], int] = {}  # sorted prefix -> its sum
-    below = [{}]
-    for level in classes[1:]:
-        by_sum: dict[int, int] = {}
-        for c, bits in level.items():
-            v = sum_of[c] = sum(values[x] for x in c)
-            by_sum[v] = by_sum.get(v, 0) | bits
-        below.append(_dominance_masks(by_sum))
+    d, r = len(t), len(values)
+    count = [ranks.count(x) for x in range(r)]
+    weight = [1]
+    for n in count:
+        weight.append(weight[-1] * (n + 1))
+    box = weight[-1]
+    # room[x]: the classes with fewer entries of rank x than theta
+    room = [_tile((1 << n * w) - 1, p, box // p) for n, w, p in zip(count, weight, weight[1:])]
+    # need[k]: when position k is tied to the one before, the positions
+    # from k to the end of its tied block; 0 otherwise
+    need = [0] * (d + 1)
+    for k in range(d - 1, 0, -1):
+        if gens and k in gens:
+            need[k] = need[k + 1] + 1
+    # the values on a common integer scale, for the prefix sums
+    scale = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    tables = _dominance_tables(scaled, count, weight, need)
+    every = [functools.reduce(operator.or_, table.values(), 0) for table in tables]  # the classes of k-prefixes
 
-    memo: list[dict[tuple[int, ...], tuple[int, int]]] = [{} for _ in range(d)]
-    up = [(1 << n) - 1] * d
-    dom = up.copy()
-    last = members[-1]
-    for i in range(n - 1, -1, -1):
-        mu = members[i]
-        p = 0
-        if i < n - 1:
-            while mu[p] == last[p]:
-                p += 1
-        last = mu
-        for k in range(p + 1, d):
-            c = tuple(sorted(mu[:k]))
-            masks = memo[k].get(c)
-            if masks is None:
-                above = 0
-                for other, bits in classes[k].items():
-                    if all(a <= b for a, b in zip(other, c)):
-                        above |= bits
-                masks = memo[k][c] = (above, below[k][sum_of[c]])
-            up[k] = up[k - 1] & masks[0]
-            dom[k] = dom[k - 1] & masks[1]
-        mismatch = up[-1] ^ dom[-1]
-        if mismatch:
-            j = mismatch.bit_length() - 1
-            mu, nu = (tuple(values[x] for x in members[m]) for m in (i, j))
-            if up[-1] >> j & 1:
+    # R and T travel as one int, T above R: one shift serves both
+    steps = [(h | h << box, w) for h, w in zip(room, weight)]
+
+    def settle(g, dom, fail):
+        """Shifted masks cut down to mu's class: R to what it dominates, T
+        to that, joined by R's classes not below it in the step order."""
+        R = g & dom
+        return R | (g >> box & dom | R & fail) << box
+
+    def tied_advance(RT, k, dom, fail):
+        """nu's masks at length k + 1 from those at length k, where one of
+        the two is kept per last rank."""
+        if need[k]:  # the next rank is at most the last: OR the masks from the top rank down
+            RT = list(itertools.accumulate(RT[::-1], operator.or_))[::-1]
+            grown = [(RT[x] & h) << w for x, (h, w) in enumerate(steps)]
+        else:
+            grown = [(RT & h) << w for h, w in steps]
+        if need[k + 1]:
+            return [settle(g, dom, fail) for g in grown]
+        return settle(functools.reduce(operator.or_, grown), dom, fail)
+
+    # class of mu's prefix -> the classes it dominates, those of them not
+    # below it in the step order, and the classes below it in the step order
+    full = box - 1
+    masks = {0: (1, 0, 1), full: (1 << full, 0, 1 << full)}
+    # An untied last position only adds the one rank left, which every
+    # class of (d - 1)-prefixes has room for, so T is settled a length early.
+    stop = d if need[d - 1] else d - 1
+    mu = [0] * d
+    left = count.copy()  # the ranks mu has still to place
+    at = [0] * (d + 1)  # the class of mu's k-prefix
+    sums = [0] * (d + 1)  # and its sum
+    state: list = [1] * (d + 1)  # nu's masks at length k
+    nxt = [r - 1] * (d + 1)  # the next rank mu tries at position k
+    k = 0
+    while k >= 0:
+        z = nxt[k]
+        while z >= 0 and (not left[z] or need[k + 1] and sum(left[: z + 1]) <= need[k + 1]):
+            z -= 1
+        if z < 0:
+            k -= 1
+            if k >= 0:
+                left[mu[k]] += 1
+            continue
+        nxt[k] = z - 1
+        mu[k] = z
+        left[z] -= 1
+        c = at[k + 1] = at[k] + weight[z]
+        s = sums[k + 1] = sums[k] + scaled[z]
+        if c not in masks:
+            # The sorted classes at most mu's after rank z are those at
+            # most mu's before it, with one rank at most z added.
+            below = masks[at[k]][2]
+            up = 0
+            for h, w in itertools.islice(zip(room, weight), z + 1):
+                up |= (below & h) << w
+            dom = tables[k + 1][s]
+            if up & every[k + 1] & ~dom:
                 raise RuntimeError(
-                    f"step order escaped dominance: {mu} climbs to {nu}; this is a bug"
+                    f"step order escaped dominance below {[values[x] for x in mu[: k + 1]]}; this is a bug"
                 )
-            return mu, nu
-    return None
+            masks[c] = dom, dom & ~up, up
+        dom, fail, _ = masks[c]
+        if need[k] or need[k + 1]:
+            state[k + 1] = tied_advance(state[k], k, dom, fail)
+        else:
+            RT, g = state[k], 0
+            for h, w in steps:
+                g |= (RT & h) << w
+            state[k + 1] = settle(g, dom, fail)
+        if k + 1 < stop:
+            k += 1
+            nxt[k] = z if need[k] else r - 1
+        elif state[stop] >> box:
+            break
+        else:
+            left[z] += 1
+    else:
+        return None
+    if stop < d:
+        mu[-1] = left.index(1)
+        at[d] = full
+
+    nu = _largest_below(
+        [masks[at[j]][:2] for j in range(1, d + 1)], need, count, list(zip(room, weight))
+    )
+    return tuple(values[x] for x in mu), tuple(values[x] for x in nu)
+
+
+def _largest_below(along: list[tuple[int, int]], need: list[int], count: list[int], steps: list) -> list[int]:
+    """The ranks of the largest nu that mu dominates while nu is not above mu.
+
+    ``along[j - 1]`` holds two masks for the class of mu's j-prefix: the
+    classes it dominates, and those of them not below it in the step
+    order.  Backward from the full class, ``ok[j][f]`` gets the classes of
+    j-prefixes from which nu completes to such a member when it arrives
+    with the flag f, set once an earlier prefix failed the step order;
+    they are kept per last rank where position j is tied.  One greedy
+    pass from the top then takes at each position the largest rank that
+    keeps a completion.  ``steps`` pairs each rank's room mask with its
+    weight.
+    """
+    d, r = len(along), len(count)
+    full = along[-1][0]
+    done = [0, full]  # at full length, by flag
+    ok: list = [None] * (d + 1)
+    for j in range(d, 0, -1):
+        dom, fail = along[j - 1]
+        keep = dom & ~fail
+        if need[j]:
+            ok[j] = [keep & a | fail & b for a, b in zip(*done)], [dom & b for b in done[1]]
+        else:
+            ok[j] = keep & done[0] | fail & done[1], dom & done[1]
+        done = []
+        for f in ok[j]:
+            back = [h & (f[z] if need[j] else f) >> w for z, (h, w) in enumerate(steps)]
+            done.append(list(itertools.accumulate(back, operator.or_)) if need[j - 1] else functools.reduce(operator.or_, back))
+    nu: list[int] = []
+    c = flag = 0
+    have = [0] * r
+    for j in range(1, d + 1):
+        fits = ok[j][flag]
+        top = nu[-1] if need[j - 1] else r - 1
+        z = next(
+            z for z in range(top, -1, -1)
+            if have[z] < count[z] and (fits[z] if need[j] else fits) >> c + steps[z][1] & 1
+        )
+        c += steps[z][1]
+        have[z] += 1
+        nu.append(z)
+        flag |= along[j - 1][1] >> c & 1
+    return nu
 
 
 def rule_predicts_tight(degree: int, jc: Iterable[int]) -> bool:
@@ -559,6 +723,29 @@ class TightScanReport(namedtuple("TightScanReport", "degree rows")):
         return "\n".join(lines) + "\n"
 
 
+def _check_scan_bits(degree: int) -> None:
+    """Refuse a degree whose whole group exceeds ``TIGHT_BIT_CAP``, before building a weight.
+
+    The whole group's bound, (2^n - 2)·n!, grows with n, so it is grown
+    one degree at a time.  A degree within the cap passes; past it, the
+    refusal is ``_check_tight_bits``'s own line on the whole group's
+    weight, unless the bound reaches 4300 digits, the interpreter's
+    default limit for printing an int, where a line without the numbers
+    is given instead.
+    """
+    bound, factorial, printable = 0, 1, 10**4300
+    for n in range(1, degree + 1):
+        factorial *= n
+        bound = ((1 << n) - 2) * factorial
+        if bound >= printable:
+            raise CapExceeded(
+                f"degree {degree} exceeds the member cap of is_tight: its whole group "
+                f"takes over 10^4300 mask bits, cap {TIGHT_BIT_CAP}"
+            )
+    if bound > TIGHT_BIT_CAP:
+        _check_tight_bits(tuple(range(degree - 1, -1, -1)), None)
+
+
 #: The default degree cap of ``tight_scan``.
 TIGHT_SCAN_CAP = 6
 
@@ -577,8 +764,8 @@ def tight_scan(degree: int, cap: int = TIGHT_SCAN_CAP) -> TightScanReport:
         raise CapExceeded(f"degree {degree} exceeds the tight-scan cap {cap}")
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
+    _check_scan_bits(degree)
     indices = range(1, degree)
-    _check_tight_bits(_staircase(degree, indices), None)
     rows = []
     for r in range(0, degree):
         for jc in itertools.combinations(indices, r):

@@ -3,12 +3,17 @@
 Each builds what no command needs: a Hasse diagram reduced from a whole
 relation, the order tables of a whole symmetric group, a coset's members
 found by closing one member under generator moves, every coset of a pair
-checked against those tables, and family membership decided by
-isomorphism against the templates.  Test files import them from here
-and keep no copies of their own.
+checked against those tables, family membership decided by isomorphism
+against the templates, and tightness by masks over every orbit member.
+With them live the small helpers that only tests call: left
+multiplication, left descents and ascents, and the rejected bottom
+length of the diamond analysis.  Test files import them from here and
+keep no copies of their own.
 """
 
+import itertools
 from functools import lru_cache
+from math import comb
 
 from dcbruhat.bruhat import covers
 from dcbruhat.parabolic import decompose
@@ -25,7 +30,46 @@ from dcbruhat.poset import (
     are_isomorphic,
     shape_template,
 )
-from dcbruhat.symgroup import all_permutations, check_genset, inverse, mult_left, mult_right
+from dcbruhat.symgroup import all_permutations, check_genset, inverse, mult_right, right_ascents, right_descents
+from dcbruhat.weights import _ranked, _rearrangements
+
+
+def simple_transposition(degree, i):
+    if not 1 <= i <= degree - 1:
+        raise ValueError(f"simple transposition index {i} out of range for degree {degree}")
+    w = list(range(1, degree + 1))
+    w[i - 1], w[i] = w[i], w[i - 1]
+    return tuple(w)
+
+
+def mult_left(w, i):
+    """The simple transposition with index i times w (swaps the values i, i+1)."""
+    if not 1 <= i <= len(w) - 1:
+        raise ValueError(f"simple transposition index {i} out of range for degree {len(w)}")
+    return tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
+
+
+def left_descents(w):
+    """Indices whose transposition shortens w when applied on the left."""
+    return right_descents(inverse(w))
+
+
+def left_ascents(w):
+    """Indices whose transposition lengthens w when applied on the left."""
+    return right_ascents(inverse(w))
+
+
+def alt_bottom_length(q, n):
+    """Length of the rejected bottom candidate in the diamond analysis.
+
+    The diamond minimum could a priori start with the long descending
+    run instead of with "2 1"; this is that word's inversion count.
+    Comparing it against 1 + C(n-1, 2), the length of the chosen
+    candidate, certifies the choice.
+    """
+    if not 3 < q < n:
+        raise ValueError(f"need 3 < q < n, got q={q}, n={n}")
+    return comb(n + 1, 2) + 1 - (n + 1 - q) - (n + 2 - q)
 
 
 def hasse_reduction(up):
@@ -160,3 +204,95 @@ def matches_family(poset, shape):
             poset, shape_template(ShapeClass(shape.tag, m))
         )
     return False
+
+
+def dominance_masks(by_sum):
+    """From members by prefix sum to members whose prefix sum is at most each value."""
+    acc = 0
+    at_most = {}
+    for v in sorted(by_sum):
+        acc |= by_sum[v]
+        at_most[v] = acc
+    return at_most
+
+
+def prefix_class_witness(t, gens):
+    """``is_tight``'s witness on a dominant weight by masks over all members, or None.
+
+    Member j is above member i exactly when, for each prefix length k
+    from 1 to d - 1, the sorted k-prefix of j is entrywise at most that
+    of i (see ``step_leq``), and i dominates j exactly when each k-prefix
+    sum of j is at most that of i.  So both orders are ANDs over k of
+    masks over all members, kept per class of sorted k-prefixes:
+    - the members of a k-prefix class are those of a (k-1)-prefix class
+      that hold the missing value at position k; that position's column
+      of the members gives one bit string per value;
+    - a member's up mask at k ORs the classes entrywise at most its own,
+      and its dominance mask the classes of prefix sum at most its own.
+    The scan runs from theta down and stops at the first mismatch.
+    Members sharing a k-prefix are consecutive, so a member's masks
+    cost one AND per prefix it does not share with the member before,
+    and the OR for a class is built when a scanned member first needs it.
+
+    The members are built on ranks (see ``_ranked``), and the prefix
+    sums and the witness read the values back.  ``TIGHT_BIT_CAP`` keeps
+    the ranks under 25, so a column of ranks is a ``bytes`` string.
+    """
+    values, ranks = _ranked(t)
+    members = _rearrangements(ranks, gens or ())
+    n, d = len(members), len(t)
+    # ones[x] translates rank x to the digit 1 and every other rank to 0
+    ones = [b"0" * x + b"1" + b"0" * (255 - x) for x in range(len(values))]
+    classes = [{(): (1 << n) - 1}]  # per prefix length: sorted prefix -> members
+    for column in itertools.islice(zip(*members), d - 1):
+        digits = bytes(reversed(column))  # member 0 last: the lowest bit
+        holding = [int(digits.translate(one), 2) for one in ones]
+        level = {}
+        for c, mask in classes[-1].items():
+            for x, bits in enumerate(holding):
+                bits &= mask
+                if bits:
+                    key = tuple(sorted(c + (x,)))
+                    level[key] = level.get(key, 0) | bits
+        classes.append(level)
+    sum_of = {}  # sorted prefix -> its sum
+    below = [{}]
+    for level in classes[1:]:
+        by_sum = {}
+        for c, bits in level.items():
+            v = sum_of[c] = sum(values[x] for x in c)
+            by_sum[v] = by_sum.get(v, 0) | bits
+        below.append(dominance_masks(by_sum))
+
+    memo = [{} for _ in range(d)]
+    up = [(1 << n) - 1] * d
+    dom = up.copy()
+    last = members[-1]
+    for i in range(n - 1, -1, -1):
+        mu = members[i]
+        p = 0
+        if i < n - 1:
+            while mu[p] == last[p]:
+                p += 1
+        last = mu
+        for k in range(p + 1, d):
+            c = tuple(sorted(mu[:k]))
+            masks = memo[k].get(c)
+            if masks is None:
+                above = 0
+                for other, bits in classes[k].items():
+                    if all(a <= b for a, b in zip(other, c)):
+                        above |= bits
+                masks = memo[k][c] = (above, below[k][sum_of[c]])
+            up[k] = up[k - 1] & masks[0]
+            dom[k] = dom[k - 1] & masks[1]
+        mismatch = up[-1] ^ dom[-1]
+        if mismatch:
+            j = mismatch.bit_length() - 1
+            mu, nu = (tuple(values[x] for x in members[m]) for m in (i, j))
+            if up[-1] >> j & 1:
+                raise RuntimeError(
+                    f"step order escaped dominance: {mu} climbs to {nu}; this is a bug"
+                )
+            return mu, nu
+    return None

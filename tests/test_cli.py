@@ -317,6 +317,18 @@ def test_degree_range_past_the_cap_is_refused_without_listing_it(capsys, monkeyp
     assert peak < 1_000_000
 
 
+def test_tight_at_a_huge_degree_is_refused_before_any_weight(capsys, monkeypatch):
+    # The whole group's bound is grown degree by degree; no staircase of
+    # this size may be built.
+    monkeypatch.setattr(weights, "_staircase", None)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tight", "--degree", "300000000", "--degree-cap", "300000000")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "member cap" in err
+
+
 def test_weight_exponents_past_the_print_limit_are_refused(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "orbit", "--theta", "1e300000000,0")

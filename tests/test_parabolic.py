@@ -37,15 +37,20 @@ from dcbruhat.symgroup import (
     compose,
     full_genset,
     identity,
-    left_ascents,
-    left_descents,
     length,
-    mult_left,
     mult_right,
     right_ascents,
     right_descents,
 )
-from oracles import check_interval_property, coset_members, linking_genset, order_tables
+from oracles import (
+    check_interval_property,
+    coset_members,
+    left_ascents,
+    left_descents,
+    linking_genset,
+    mult_left,
+    order_tables,
+)
 
 perm6 = st.permutations(tuple(range(1, 7))).map(tuple)
 genset5 = st.frozensets(st.sampled_from(range(1, 6)))

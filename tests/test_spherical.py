@@ -12,7 +12,6 @@ from dcbruhat.spherical import (
     NoClosedFormBottom,
     SphericalCase,
     _classify,
-    alt_bottom_length,
     build_xplus_poset,
     predicted_bottom,
     shape_in_family,
@@ -21,7 +20,7 @@ from dcbruhat.spherical import (
     verify_theorem,
 )
 from dcbruhat.symgroup import full_genset, longest_element, parse_perm
-from oracles import matches_family, poset_from_relation
+from oracles import alt_bottom_length, matches_family, poset_from_relation
 
 
 def by_complements(degree):

@@ -21,18 +21,15 @@ from dcbruhat.symgroup import (
     identity,
     json_text,
     inverse,
-    left_ascents,
-    left_descents,
     length,
     longest_element,
-    mult_left,
     mult_right,
     parse_genset,
     parse_perm,
     right_ascents,
     right_descents,
-    simple_transposition,
 )
+from oracles import left_ascents, left_descents, mult_left, simple_transposition
 
 perm5 = st.permutations(tuple(range(1, 6))).map(tuple)
 perm6 = st.permutations(tuple(range(1, 7))).map(tuple)

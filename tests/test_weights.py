@@ -32,7 +32,7 @@ from dcbruhat.weights import (
     step_leq,
     tight_scan,
 )
-from oracles import poset_from_relation, poset_from_up_masks
+from oracles import poset_from_relation, poset_from_up_masks, prefix_class_witness
 
 perm4 = st.permutations(tuple(range(1, 5))).map(tuple)
 
@@ -350,11 +350,57 @@ def test_is_tight_matches_the_orbit_mask_scan_at_degree_7():
 
 
 def test_climb_outside_dominance_is_an_internal_error(monkeypatch):
-    # Each prefix sum admits only members with that very sum, so theta
-    # dominates itself alone while everything lies above it.
-    monkeypatch.setattr(weights, "_dominance_masks", lambda by_sum: by_sum)
+    # Each prefix sum admits only the classes of that very sum, so the
+    # class of theta's first entry dominates itself alone while the class
+    # of a lower entry lies below it in the step order.
+    def equal_sums_only(pairs):
+        out = {}
+        for key, mask in pairs:
+            out[key] = out.get(key, 0) | mask
+        return out
+
+    monkeypatch.setattr(weights, "_cumulative", equal_sums_only)
     with pytest.raises(RuntimeError, match="escaped dominance"):
         is_tight(W(1, 0, 0))
+
+
+# --- the prefix-class scan over all members, kept as the oracle of the walk -
+
+
+def staircases(degree):
+    return [dominant_shape(degree, jc) for r in range(degree) for jc in itertools.combinations(range(1, degree), r)]
+
+
+def assert_is_tight_matches_the_prefix_class_scan(cases):
+    for theta, gens in cases:
+        witness = prefix_class_witness(check_dominant(theta), gens)
+        assert is_tight(theta, gens) == (witness is None, witness), (theta, gens)
+
+
+def test_is_tight_matches_the_prefix_class_scan_on_staircases_up_to_degree_7():
+    assert_is_tight_matches_the_prefix_class_scan(
+        (theta, None) for degree in range(1, 8) for theta in staircases(degree)
+    )
+
+
+@pytest.mark.slow
+def test_is_tight_matches_the_prefix_class_scan_on_staircases_at_degree_8():
+    assert_is_tight_matches_the_prefix_class_scan((theta, None) for theta in staircases(8))
+
+
+def restricted_cases(degree):
+    return [(theta, gens) for theta in dominant_weights(ORACLE_VALUES, degree) for gens in restrictions(degree)]
+
+
+def test_is_tight_matches_the_prefix_class_scan_on_restrictions_up_to_degree_5():
+    assert_is_tight_matches_the_prefix_class_scan(
+        case for degree in range(1, 6) for case in restricted_cases(degree)
+    )
+
+
+@pytest.mark.slow
+def test_is_tight_matches_the_prefix_class_scan_on_restrictions_at_degree_6():
+    assert_is_tight_matches_the_prefix_class_scan(restricted_cases(6))
 
 
 def test_orbit_poset_keeps_fraction_values():
@@ -405,7 +451,7 @@ def test_orbits_beyond_the_member_cap_are_refused(monkeypatch):
     # Pairs of adjacent positions tie up: 8!/2^4 = 2520 members fit.
     assert member_bound(tuple(range(7, -1, -1)), {1, 3, 5, 7}) == 2520
     # is_tight and step_leq build no reachability: the whole group at
-    # degree 8 runs (tight_scan(8, cap=8) is the slow acceptance check).
+    # degree 8 runs (tight_scan(8, cap=8) is in acceptance check 8).
     assert is_tight(generic) == (False, (W(7, 6, 5, 4, 3, 0, 2, 1), W(7, 6, 5, 4, 2, 1, 0, 3)))
     assert step_leq(generic, generic[::-1])
     # At degree 9 the prefix-class masks would take 510 × 9! bits.
@@ -523,6 +569,17 @@ def test_the_package_reduces_no_relation():
     for name in ("hasse_reduction", "from_relation", "from_up_masks", "order_tables"):
         assert not hasattr(FinitePoset, name)
         for module in modules:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_the_package_keeps_no_test_only_helpers():
+    # Left multiplication, left descents and ascents, the rejected bottom
+    # length and the tightness scan over all members live in the test
+    # oracles, since only tests call them.
+    names = ("simple_transposition", "mult_left", "left_descents", "left_ascents", "alt_bottom_length",
+             "_dominance_masks")
+    for name in names:
+        for module in package_modules():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
