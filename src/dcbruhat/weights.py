@@ -504,20 +504,23 @@ def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
     scale = math.lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (scale // v.denominator) for v in values]
     tables = _dominance_tables(scaled, count, weight, need)
-    every = [functools.reduce(operator.or_, table.values(), 0) for table in tables]  # the classes of k-prefixes
+    # every[k]: the classes of members' k-prefixes
+    every = [functools.reduce(operator.or_, table.values(), 0) for table in tables]
 
     # R and T travel as one int, T above R: one shift serves both
     steps = [(h | h << box, w) for h, w in zip(room, weight)]
 
     def settle(g, dom, fail):
-        """Shifted masks cut down to mu's class: R to what it dominates, T
-        to that, joined by R's classes not below it in the step order."""
+        """R and T shifted to length k + 1, cut down by mu's new class.
+
+        R keeps what the class dominates; T keeps that too, and gains
+        the classes of R not below the class in the step order.
+        """
         R = g & dom
         return R | (g >> box & dom | R & fail) << box
 
     def tied_advance(RT, k, dom, fail):
-        """nu's masks at length k + 1 from those at length k, where one of
-        the two is kept per last rank."""
+        """nu's masks at length k + 1 where position k or k + 1 is tied to the one before."""
         if need[k]:  # the next rank is at most the last: OR the masks from the top rank down
             RT = list(itertools.accumulate(RT[::-1], operator.or_))[::-1]
             grown = [(RT[x] & h) << w for x, (h, w) in enumerate(steps)]
@@ -589,13 +592,13 @@ def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
         mu[-1] = left.index(1)
         at[d] = full
 
-    nu = _largest_below(
+    nu = _largest_nu(
         [masks[at[j]][:2] for j in range(1, d + 1)], need, count, list(zip(room, weight))
     )
     return tuple(values[x] for x in mu), tuple(values[x] for x in nu)
 
 
-def _largest_below(along: list[tuple[int, int]], need: list[int], count: list[int], steps: list) -> list[int]:
+def _largest_nu(along: list[tuple[int, int]], need: list[int], count: list[int], steps: list) -> list[int]:
     """The ranks of the largest nu that mu dominates while nu is not above mu.
 
     ``along[j - 1]`` holds two masks for the class of mu's j-prefix: the
