@@ -418,7 +418,8 @@ def _dominance_tables(scaled: list[int], count: list[int], weight: list[int], ne
     breadth-first pass over prefixes builds the classes, keyed at a
     position tied to the one before by the last rank as well, and keeps
     a prefix only while the ``need[k]`` positions left in its tied block
-    can still take ranks at most its last.
+    can still take ranks at most its last, so a restricted orbit with few
+    members lists few classes, however many sub-multisets theta has.
     """
     r, d = len(count), len(need) - 1
     levels: list[dict[int, int]] = [{} for _ in range(d + 1)]  # class -> sum
