@@ -363,14 +363,21 @@ def is_tight(theta: Sequence, restriction: GenSet | None = None) -> tuple[bool, 
 
 
 #: The most mask bits ``is_tight`` may take, counted as classes of sorted
-#: prefixes × members: its walk visits at most degree × members prefixes,
-#: each on masks of one bit per class, the empty and the full one
-#: included.  The whole group at degree 8 takes 254 classes × 8! members,
-#: about 10.2M bits, and ``tight_scan(8, cap=8)`` about 0.03 s; degree 9
-#: would take 510 × 9!, about 185M bits, and ``tight_scan(9, cap=9)``
-#: about 0.1 s with the cap lifted (2 cores, Python 3.11).  With d
+#: prefixes × members: its walk visits at most degree × members prefixes.
+#: The whole group at degree 8 takes 254 classes × 8! members, about
+#: 10.2M bits, and ``tight_scan(8, cap=8)`` about 0.04 s; degree 9 would
+#: take 510 × 9!, about 185M bits, and ``tight_scan(9, cap=9)`` about
+#: 0.1 s and 15 MiB with the cap lifted (2 cores, Python 3.11).  With d
 #: distinct entries there are at least 2^d - 2 classes, so fewer than 25
 #: distinct entries pass.
+#:
+#: The count does not bound the walk's memory.  Its masks have one bit
+#: per sub-multiset of theta's entries, all of them, and it keeps a few
+#: per rank and per class of the members' prefixes, so an orbit with
+#: few members and many sub-multisets pays for the whole box: with 22,
+#: 23 and 24 distinct entries tied into one member, ``is_tight`` peaks
+#: at about 100, 190 and 390 MiB; with one value n times, at about 2n²
+#: bits (260 MiB peak at n = 30000).
 TIGHT_BIT_CAP = 1 << 24
 
 
@@ -412,39 +419,31 @@ def _dominance_tables(scaled: list[int], count: list[int], weight: list[int], ne
     """Per prefix length k, from each sum to the classes of members' k-prefixes of at most that sum.
 
     A class is a sub-multiset B of the ranks, kept at bit sum(B[x] *
-    weight[x]), and its sum is taken over ``scaled``.  Without tied
-    positions every sub-multiset of theta's ranks is a class of some
-    member's prefix, and they are listed rank by rank.  Otherwise a
-    breadth-first pass over prefixes builds the classes, keyed at a
-    position tied to the one before by the last rank as well, and keeps
-    a prefix only while the ``need[k]`` positions left in its tied block
-    can still take ranks at most its last, so a restricted orbit with few
-    members lists few classes, however many sub-multisets theta has.
+    weight[x]), and its sum is taken over ``scaled``.  A breadth-first
+    pass over prefixes builds the classes, keyed at a position tied to
+    the one before by the last rank as well, and keeps a prefix only
+    while the ``need[k]`` positions left in its tied block can still take
+    ranks at most its last, so a restricted orbit with few members lists
+    few classes, however many sub-multisets theta has.
     """
     r, d = len(count), len(need) - 1
-    levels: list[dict[int, int]] = [{} for _ in range(d + 1)]  # class -> sum
-    if not any(need):
-        listed = [(0, 0, 0)]  # class, size, sum
-        for n, w, v in zip(count, weight, scaled):
-            listed = [(c + j * w, k + j, s + j * v) for c, k, s in listed for j in range(n + 1)]
-        for c, k, s in listed:
-            levels[k][c] = s
-    else:
-        total = [0, *itertools.accumulate(count)]
-        level = {(0, r - 1): ((0,) * (r + 1), 0)}  # (class, highest rank next) -> entries of rank below x, sum
-        for k in range(1, d + 1):
-            grown: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
-            for (c, top), (low, s) in level.items():
-                for z in range(top + 1):
-                    key = c + weight[z], z if need[k] else r - 1
-                    if key in grown or low[z + 1] - low[z] == count[z]:
-                        continue
-                    if need[k] and total[z + 1] - low[z + 1] <= need[k]:
-                        continue
-                    grown[key] = low[: z + 1] + tuple(m + 1 for m in low[z + 1 :]), s + scaled[z]
-            level = grown
-            levels[k] = {c: s for (c, _), (_, s) in level.items()}
-    return [_cumulative((s, 1 << c) for c, s in level.items()) for level in levels]
+    level = {(0, r - 1): 0}  # (class, highest rank next) -> sum
+    tables = [{0: 1}]
+    for k in range(1, d + 1):
+        grown: dict[tuple[int, int], int] = {}
+        for (c, top), s in level.items():
+            rest = 0  # the entries of rank at most z that the class has still to take
+            for z in range(top + 1):
+                n = count[z] - c // weight[z] % (count[z] + 1)
+                rest += n
+                if not n or rest <= need[k]:
+                    continue
+                key = c + weight[z], z if need[k] else r - 1
+                if key not in grown:
+                    grown[key] = s + scaled[z]
+        level = grown
+        tables.append(_cumulative((s, 1 << c) for (c, _), s in level.items()))
+    return tables
 
 
 def _cumulative(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
@@ -493,8 +492,13 @@ def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
     for n in count:
         weight.append(weight[-1] * (n + 1))
     box = weight[-1]
-    # room[x]: the classes with fewer entries of rank x than theta
-    room = [_tile((1 << n * w) - 1, p, box // p) for n, w, p in zip(count, weight, weight[1:])]
+    # steps[x]: the classes with fewer entries of rank x than theta, twice
+    # (R and T travel as one int, T above R, so one shift serves both),
+    # and the weight of rank x
+    steps = []
+    for n, w, p in zip(count, weight, weight[1:]):
+        room = _tile((1 << n * w) - 1, p, box // p)
+        steps.append((room | room << box, w))
     # need[k]: when position k is tied to the one before, the positions
     # from k to the end of its tied block; 0 otherwise
     need = [0] * (d + 1)
@@ -508,9 +512,6 @@ def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
     # every[k]: the classes of members' k-prefixes
     every = [functools.reduce(operator.or_, table.values(), 0) for table in tables]
 
-    # R and T travel as one int, T above R: one shift serves both
-    steps = [(h | h << box, w) for h, w in zip(room, weight)]
-
     def settle(g, dom, fail):
         """R and T shifted to length k + 1, cut down by mu's new class.
 
@@ -519,17 +520,6 @@ def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
         """
         R = g & dom
         return R | (g >> box & dom | R & fail) << box
-
-    def tied_advance(RT, k, dom, fail):
-        """nu's masks at length k + 1 where position k or k + 1 is tied to the one before."""
-        if need[k]:  # the next rank is at most the last: OR the masks from the top rank down
-            RT = list(itertools.accumulate(RT[::-1], operator.or_))[::-1]
-            grown = [(RT[x] & h) << w for x, (h, w) in enumerate(steps)]
-        else:
-            grown = [(RT & h) << w for h, w in steps]
-        if need[k + 1]:
-            return [settle(g, dom, fail) for g in grown]
-        return settle(functools.reduce(operator.or_, grown), dom, fail)
 
     # class of mu's prefix -> the classes it dominates, those of them not
     # below it in the step order, and the classes below it in the step order
@@ -564,7 +554,7 @@ def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
             # most mu's before it, with one rank at most z added.
             below = masks[at[k]][2]
             up = 0
-            for h, w in itertools.islice(zip(room, weight), z + 1):
+            for h, w in steps[: z + 1]:
                 up |= (below & h) << w
             dom = tables[k + 1][s]
             if up & every[k + 1] & ~dom:
@@ -573,13 +563,16 @@ def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
                 )
             masks[c] = dom, dom & ~up, up
         dom, fail, _ = masks[c]
-        if need[k] or need[k + 1]:
-            state[k + 1] = tied_advance(state[k], k, dom, fail)
+        RT = state[k]
+        if need[k]:  # the next rank is at most the last: OR the masks from the top rank down
+            RT = list(itertools.accumulate(RT[::-1], operator.or_))[::-1]
+            grown = [(RT[x] & h) << w for x, (h, w) in enumerate(steps)]
         else:
-            RT, g = state[k], 0
-            for h, w in steps:
-                g |= (RT & h) << w
-            state[k + 1] = settle(g, dom, fail)
+            grown = [(RT & h) << w for h, w in steps]
+        if need[k + 1]:  # kept per last rank
+            state[k + 1] = [settle(g, dom, fail) for g in grown]
+        else:
+            state[k + 1] = settle(functools.reduce(operator.or_, grown), dom, fail)
         if k + 1 < stop:
             k += 1
             nxt[k] = z if need[k] else r - 1
@@ -593,9 +586,7 @@ def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
         mu[-1] = left.index(1)
         at[d] = full
 
-    nu = _largest_nu(
-        [masks[at[j]][:2] for j in range(1, d + 1)], need, count, list(zip(room, weight))
-    )
+    nu = _largest_nu([masks[at[j]][:2] for j in range(1, d + 1)], need, count, steps)
     return tuple(values[x] for x in mu), tuple(values[x] for x in nu)
 
 
@@ -609,8 +600,8 @@ def _largest_nu(along: list[tuple[int, int]], need: list[int], count: list[int],
     with the flag f, set once an earlier prefix failed the step order;
     they are kept per last rank where position j is tied.  One greedy
     pass from the top then takes at each position the largest rank that
-    keeps a completion.  ``steps`` pairs each rank's room mask with its
-    weight.
+    keeps a completion.  ``steps`` pairs each rank's room mask, twice
+    as wide as the box (see ``_tight_witness``), with its weight.
     """
     d, r = len(along), len(count)
     full = along[-1][0]
