@@ -296,6 +296,26 @@ def _table_of(rows: tuple[int, ...], cols: tuple[int, ...], w: Perm):
     return tuple(map(tuple, table))
 
 
+def _fill_bound(sums: tuple[int, ...], parts: int, cap: int) -> int:
+    """An upper bound on the tables: the ways to fill all lines but the last.
+
+    Each of the lines with the given sums, but the last, splits its sum
+    into ``parts`` cells, in C(sum + parts - 1, parts - 1) ways, and the
+    other margin forces the last line.  Read with rows as the lines and
+    then with columns, this is far below ``coset_bound`` when one margin
+    has few long blocks.  The product stops once it passes ``cap``.
+
+    >>> _fill_bound((8, 10), 3, 10**6), _fill_bound((1, 4, 13), 2, 10**6)
+    (45, 10)
+    """
+    bound = 1
+    for total in sums[:-1]:
+        bound *= math.comb(total + parts - 1, parts - 1)
+        if bound > cap:
+            break
+    return bound
+
+
 def _margins(
     degree: int, left_gens: GenSet, right_gens: GenSet
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -304,13 +324,18 @@ def _margins(
     The left genset's blocks of values give the row sums and the right
     genset's blocks of positions the column sums; both gensets must
     already have passed ``check_genset``.  The call refuses when
-    ``coset_bound`` exceeds ``COSET_CAP``.
+    ``coset_bound`` exceeds ``COSET_CAP`` and so do both bounds of
+    ``_fill_bound``; the message names ``coset_bound``.
     """
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
     rows, cols = _blocks(degree, left_gens), _blocks(degree, right_gens)
     bound = _bound(degree, rows, cols)
-    if bound > COSET_CAP:
+    if (
+        bound > COSET_CAP
+        and _fill_bound(rows, len(cols), COSET_CAP) > COSET_CAP
+        and _fill_bound(cols, len(rows), COSET_CAP) > COSET_CAP
+    ):
         raise CapExceeded(
             f"degree {degree} with these gensets allows up to {bound} double cosets, "
             f"over the enumeration cap {COSET_CAP}"

@@ -3,6 +3,11 @@ The catalogue of generator-complement pairs whose coset posets have a
 known shape, the closed-form bottom elements, and the end-to-end
 verifier that rebuilds every catalogued poset and checks the claims.
 
+Every case is decomposed and runs every check, but the checks that read
+the Hasse diagram alone (lattice, shape, extremes, height, the top's
+lower covers) are computed once per distinct cover-mask tuple and
+shared: the catalogue at degree 18 has 394,298 cases and 69 diagrams.
+
 Throughout, ``degree`` is the number of symbols and n = degree - 1 the
 number of simple transpositions.  The catalogue is normalized so the
 left complement has at most one index; instances whose natural
@@ -13,9 +18,10 @@ one-line words by the longest element.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations
 
-from .parabolic import decompose
+from .parabolic import DoubleCosetTable, decompose
 from .poset import (
     CHAIN,
     LADDER_A,
@@ -343,31 +349,59 @@ class VerificationReport(namedtuple("VerificationReport", "degree rows")):
         return "\n".join(lines) + "\n"
 
 
+def _coset_table(degree: int, i_complement, j_complement) -> DoubleCosetTable:
+    """The coset table of the pair whose gensets miss the two complements."""
+    full = full_genset(degree)
+    return decompose(degree, full - frozenset(i_complement), full - frozenset(j_complement))
+
+
 def build_xplus_poset(degree: int, i_complement, j_complement) -> FinitePoset:
     """The longest-representative set under the group order.
 
     This is the coset table's poset: ``decompose`` already orders the
     cosets by their longest members.
     """
-    full = full_genset(degree)
-    left = full - frozenset(i_complement)
-    right = full - frozenset(j_complement)
-    return decompose(degree, left, right).poset()
+    return _coset_table(degree, i_complement, j_complement).poset()
+
+
+@lru_cache(maxsize=1024)
+def _structure(cover_masks: tuple[int, ...]) -> tuple:
+    """What the case checks read from a Hasse diagram alone, by element index.
+
+    Returns (lattice_ok, witness, shape, mins, maxs, height, top_lower):
+    the lattice check with its witness as an index pair, the shape, the
+    indices of the minimal and maximal elements, the height, and the
+    lower-cover count of a unique top (None without one).  The poset is
+    built on the indices and dropped, so the memo holds only the masks
+    and these few values.
+    """
+    poset = FinitePoset.from_cover_masks(range(len(cover_masks)), cover_masks)
+    lattice_ok, witness = poset.is_lattice()
+    mins, maxs = poset.minimal_elements(), poset.maximal_elements()
+    top_lower = len(poset.lower_covers(maxs[0])) if len(maxs) == 1 else None
+    shape = classify_shape(poset)
+    return lattice_ok, witness, shape, tuple(mins), tuple(maxs), poset.height(), top_lower
 
 
 def verify_case(case: SphericalCase) -> CaseResult:
-    poset = build_xplus_poset(case.degree, case.i_complement, case.j_complement)
-    lattice_ok, lattice_witness = poset.is_lattice()
-    actual_shape = classify_shape(poset)
-    shape_ok = shape_in_family(actual_shape, case.predicted_shape)
-    mins = poset.minimal_elements()
-    maxs = poset.maximal_elements()
+    """Decompose one case and run every check on its coset poset.
+
+    Checks that read the Hasse diagram alone, the lattice check, the
+    shape, the extremes, the height and the top's lower covers, come
+    from ``_structure``, computed once per distinct cover-mask tuple;
+    the case maps its element indices onto its own longest members.
+    """
+    table = _coset_table(case.degree, case.i_complement, case.j_complement)
+    lattice_ok, witness, actual_shape, mins, maxs, height, top_lower = _structure(table.cover_masks)
+    reps = table.max_reps
+    if witness is not None:
+        witness = reps[witness[0]], reps[witness[1]]
     bounds_ok = (
         len(mins) == 1
         and len(maxs) == 1
-        and maxs[0] == longest_element(case.degree)
+        and reps[maxs[0]] == longest_element(case.degree)
     )
-    actual_min = mins[0] if len(mins) == 1 else None
+    actual_min = reps[mins[0]] if len(mins) == 1 else None
     try:
         pred = predicted_bottom(case)
         bottom_ok = pred == actual_min
@@ -379,21 +413,20 @@ def verify_case(case: SphericalCase) -> CaseResult:
     if case.tag in LADDER_TAGS:
         n = case.degree - 1
         istar, jstar = case.norm
-        height_ok = poset.height() <= jstar
+        height_ok = height <= jstar
         if len(maxs) == 1:
-            meets_below = len(poset.lower_covers(maxs[0])) == 1
-            merge_ok = meets_below == (n + 1 - (jstar - 1) > istar)
+            merge_ok = (top_lower == 1) == (n + 1 - (jstar - 1) > istar)
         else:
             merge_ok = False
     return CaseResult(
         case=case,
-        size=len(poset),
+        size=len(reps),
         actual_shape=actual_shape,
         lattice_ok=lattice_ok,
-        lattice_witness=lattice_witness,
-        shape_ok=shape_ok,
+        lattice_witness=witness,
+        shape_ok=shape_in_family(actual_shape, case.predicted_shape),
         bounds_ok=bounds_ok,
-        height=poset.height(),
+        height=height,
         predicted_min=pred,
         actual_min=actual_min,
         bottom_ok=bottom_ok,

@@ -145,7 +145,9 @@ def _rearrangements(values: Sequence, gens: Iterable[int] = ()) -> list[tuple]:
 
     Only those weakly decreasing across every index in the genset are
     kept.  Both rules prune the growing prefix, so the work follows the
-    number of results rather than m!.
+    number of results rather than m!.  At a tied position a value is
+    skipped unless enough values at or below it are left for the rest
+    of the tied block, so no prefix dead-ends inside a block.
 
     >>> _rearrangements((1, 0, 0))
     [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
@@ -157,7 +159,13 @@ def _rearrangements(values: Sequence, gens: Iterable[int] = ()) -> list[tuple]:
     for x in values:
         counts[distinct.index(x)] += 1
     gens = set(gens)
-    tied = [i in gens for i in range(len(values))]
+    # rest[pos]: at a position tied to the one before, how many positions
+    # after it its tied block still holds; -1 at an untied position
+    rest = [-1] * (len(values) + 1)
+    for pos in range(len(values) - 1, 0, -1):
+        if pos in gens:
+            rest[pos] = rest[pos + 1] + 1
+    every = range(len(distinct))
     out: list[tuple] = []
     prefix: list = []
 
@@ -165,7 +173,16 @@ def _rearrangements(values: Sequence, gens: Iterable[int] = ()) -> list[tuple]:
         if pos == len(values):
             out.append(tuple(prefix))
             return
-        for k in range(last + 1 if tied[pos] else len(distinct)):
+        after = rest[pos]
+        if after < 0:
+            ks = every
+        else:  # from the lowest value with enough left at or below it
+            low, below = 0, counts[0]
+            while below <= after:
+                low += 1
+                below += counts[low]
+            ks = range(low, last + 1)
+        for k in ks:
             if counts[k]:
                 counts[k] -= 1
                 prefix.append(distinct[k])

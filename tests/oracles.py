@@ -4,7 +4,8 @@ Each builds what no command needs: a Hasse diagram reduced from a whole
 relation, the order tables of a whole symmetric group, a coset's members
 found by closing one member under generator moves, every coset of a pair
 checked against those tables, family membership decided by isomorphism
-against the templates, and tightness by masks over every orbit member.
+against the templates, each catalogued case checked on its own labelled
+poset, and tightness by masks over every orbit member.
 With them live the small helpers that only tests call: left
 multiplication, left descents and ascents, and the rejected bottom
 length of the diamond analysis.  Test files import them from here and
@@ -28,9 +29,27 @@ from dcbruhat.poset import (
     _ladder_param,
     _transpose,
     are_isomorphic,
+    classify_shape,
     shape_template,
 )
-from dcbruhat.symgroup import all_permutations, check_genset, inverse, mult_right, right_ascents, right_descents
+from dcbruhat.spherical import (
+    CaseResult,
+    NoClosedFormBottom,
+    VerificationReport,
+    build_xplus_poset,
+    predicted_bottom,
+    shape_in_family,
+    spherical_pairs,
+)
+from dcbruhat.symgroup import (
+    all_permutations,
+    check_genset,
+    inverse,
+    longest_element,
+    mult_right,
+    right_ascents,
+    right_descents,
+)
 from dcbruhat.weights import _ranked, _rearrangements
 
 
@@ -204,6 +223,59 @@ def matches_family(poset, shape):
             poset, shape_template(ShapeClass(shape.tag, m))
         )
     return False
+
+
+def labelled_verify_case(case):
+    """``verify_case`` on one labelled ``FinitePoset`` built for this case alone."""
+    poset = build_xplus_poset(case.degree, case.i_complement, case.j_complement)
+    lattice_ok, lattice_witness = poset.is_lattice()
+    actual_shape = classify_shape(poset)
+    shape_ok = shape_in_family(actual_shape, case.predicted_shape)
+    mins = poset.minimal_elements()
+    maxs = poset.maximal_elements()
+    bounds_ok = (
+        len(mins) == 1
+        and len(maxs) == 1
+        and maxs[0] == longest_element(case.degree)
+    )
+    actual_min = mins[0] if len(mins) == 1 else None
+    try:
+        pred = predicted_bottom(case)
+        bottom_ok = pred == actual_min
+    except NoClosedFormBottom:
+        pred = None
+        bottom_ok = None
+    height_ok = None
+    merge_ok = None
+    if case.tag in LADDER_TAGS:
+        n = case.degree - 1
+        istar, jstar = case.norm
+        height_ok = poset.height() <= jstar
+        if len(maxs) == 1:
+            meets_below = len(poset.lower_covers(maxs[0])) == 1
+            merge_ok = meets_below == (n + 1 - (jstar - 1) > istar)
+        else:
+            merge_ok = False
+    return CaseResult(
+        case=case,
+        size=len(poset),
+        actual_shape=actual_shape,
+        lattice_ok=lattice_ok,
+        lattice_witness=lattice_witness,
+        shape_ok=shape_ok,
+        bounds_ok=bounds_ok,
+        height=poset.height(),
+        predicted_min=pred,
+        actual_min=actual_min,
+        bottom_ok=bottom_ok,
+        height_ok=height_ok,
+        merge_ok=merge_ok,
+    )
+
+
+def labelled_verify_theorem(degree):
+    """``verify_theorem`` by ``labelled_verify_case``, one poset per case."""
+    return VerificationReport(degree, tuple(map(labelled_verify_case, spherical_pairs(degree))))
 
 
 def dominance_masks(by_sum):

@@ -171,14 +171,14 @@ def test_12_exact_ladder_parameters_degrees_8_to_11():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("degree,height_only", [(16, 72), (17, 84)])
+@pytest.mark.parametrize("degree,height_only", [(16, 72), (17, 84), (18, 98)])
 def test_catalogue_sweep_at_degrees_16_and_17(degree, height_only):
     """Checks 2, 3, 4 and 12 on every catalogued pair, one case at a time.
 
     Only failing and ladder rows are kept, so memory stays flat over
-    the 99,112 cases of degree 16 and the 197,548 of degree 17.  The
-    failures must be exactly the a-ladders, failing the height bound
-    of check 5 and nothing else.
+    the 99,112 cases of degree 16, the 197,548 of degree 17 and the
+    394,298 of degree 18.  The failures must be exactly the a-ladders,
+    failing the height bound of check 5 and nothing else.
     """
     lattice = shape = bottom = True
     failed, ladders = [], []

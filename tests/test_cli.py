@@ -368,6 +368,15 @@ def test_degree_cap_flag_raises_the_cap(capsys):
     assert "degree 9" in out
 
 
+def test_pairs_of_few_long_blocks_pass_the_coset_budget(capsys):
+    code, out, err = run(
+        capsys, "cosets", "--degree", "18", "--degree-cap", "18",
+        "--ic", "{8}", "--jc", "{1,5}",
+    )
+    assert (code, err) == (0, "")
+    assert "cosets=10" in out
+
+
 def test_coset_budget_refuses_large_pairs(capsys):
     code, _, err = run(
         capsys, "cosets", "--degree", "9", "--ic", "{1,2,3,4,5,6,7,8}",

@@ -18,6 +18,7 @@ from dcbruhat.parabolic import (
     CosetEntry,
     DoubleCosetTable,
     _blocks,
+    _fill_bound,
     _fillings,
     _longest_member,
     _margins,
@@ -397,6 +398,28 @@ def test_coset_cap_refuses_up_front():
         max_representatives(12, frozenset(), frozenset())
     with pytest.raises(CapExceeded):
         decompose(9, frozenset(), frozenset())
+
+
+def test_fill_bounds_hold_on_every_margin_pair():
+    for degree in range(1, 8):
+        margins = [_blocks(degree, I) for I in subsets(degree)]
+        for rows, cols in itertools.product(margins, repeat=2):
+            count = sum(1 for _ in _tables(rows, cols))
+            assert count <= _fill_bound(rows, len(cols), math.inf), (rows, cols)
+            assert count <= _fill_bound(cols, len(rows), math.inf), (rows, cols)
+
+
+def test_fill_bound_admits_pairs_of_few_long_blocks():
+    # coset_bound is 18! / (8! 10!) = 43758 here, past the cap, but the
+    # columns (1, 4, 13) fill in at most 2 * 5 ways
+    full = full_genset(18)
+    table = decompose(18, full - {8}, full - {1, 5})
+    assert len(table.max_reps) == 10
+    # where coset_bound is the least bound, the refusal reads as before
+    for degree, bound in ((9, 362880), (12, 479001600)):
+        message = f"^degree {degree} with these gensets allows up to {bound} double cosets, "
+        with pytest.raises(CapExceeded, match=message + "over the enumeration cap 40320$"):
+            decompose(degree, frozenset(), frozenset())
 
 
 def test_engine_runs_past_the_degree_cap():

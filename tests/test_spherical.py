@@ -7,11 +7,13 @@ import pytest
 
 from dcbruhat.bruhat import leq
 from dcbruhat.parabolic import max_representatives
-from dcbruhat.poset import UNRECOGNIZED, ShapeClass, classify_shape
+from dcbruhat.poset import UNRECOGNIZED, FinitePoset, ShapeClass, classify_shape
 from dcbruhat.spherical import (
     NoClosedFormBottom,
     SphericalCase,
     _classify,
+    _coset_table,
+    _structure,
     build_xplus_poset,
     predicted_bottom,
     shape_in_family,
@@ -20,7 +22,13 @@ from dcbruhat.spherical import (
     verify_theorem,
 )
 from dcbruhat.symgroup import full_genset, longest_element, parse_perm
-from oracles import alt_bottom_length, matches_family, poset_from_relation
+from oracles import (
+    alt_bottom_length,
+    labelled_verify_case,
+    labelled_verify_theorem,
+    matches_family,
+    poset_from_relation,
+)
 
 
 def by_complements(degree):
@@ -220,6 +228,56 @@ def test_verify_case_keeps_the_witness_of_a_non_lattice():
     assert not result.lattice_ok
     assert result.lattice_witness == ((1, 4, 3, 2), (2, 1, 4, 3))
     assert result.notes().startswith("not a lattice: 1 4 3 2 and 2 1 4 3 lack a join or a meet")
+
+
+def assert_report_matches_the_labelled_oracle(degree):
+    report, expected = verify_theorem(degree), labelled_verify_theorem(degree)
+    assert report.to_json() == expected.to_json()
+    assert report.to_table() == expected.to_table()
+
+
+@pytest.mark.parametrize("degree", range(2, 10))
+def test_verify_theorem_matches_the_labelled_oracle(degree):
+    assert_report_matches_the_labelled_oracle(degree)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("degree", range(10, 14))
+def test_verify_theorem_matches_the_labelled_oracle_degrees_10_to_13(degree):
+    assert_report_matches_the_labelled_oracle(degree)
+
+
+def test_non_lattices_sharing_a_diagram_name_their_own_witnesses():
+    # two uncatalogued degree-4 pairs with one Hasse diagram: the second
+    # reads the first's verdict and maps it onto its own elements
+    cases = [
+        SphericalCase(4, ic, ic, "uncatalogued", ShapeClass(UNRECOGNIZED))
+        for ic in ((1, 2), (2, 3))
+    ]
+    for case in cases:
+        table = _coset_table(4, case.i_complement, case.j_complement)
+        assert table.cover_masks == (6, 24, 24, 32, 32, 64, 0)
+    _structure.cache_clear()
+    first = verify_case(cases[0])
+    second = verify_case(cases[1])
+    assert _structure.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert first.lattice_witness == ((1, 4, 3, 2), (2, 1, 4, 3))
+    assert second.lattice_witness == ((2, 1, 4, 3), (3, 2, 1, 4))
+    assert second.notes().startswith("not a lattice: 2 1 4 3 and 3 2 1 4 lack")
+    assert [first, second] == [labelled_verify_case(case) for case in cases]
+
+
+def test_a_sweep_over_degrees_4_to_8_builds_19_diagrams():
+    _structure.cache_clear()
+    for degree in range(4, 9):
+        verify_theorem(degree)
+    assert _structure.cache_info().misses == 19
+
+
+def test_the_structure_memo_keeps_no_poset():
+    verdict = _structure(_coset_table(6, (2,), (2, 4)).cover_masks)
+    assert verdict == (True, None, ShapeClass("stretched-diamond"), (0,), (5,), 4, 1)
+    assert not any(isinstance(x, FinitePoset) for x in verdict)
 
 
 def test_verify_theorem_small_degrees_pass():

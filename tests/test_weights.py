@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import pkgutil
+import time
 from fractions import Fraction
 
 import pytest
@@ -442,6 +443,30 @@ def test_member_bound_covers_every_restricted_orbit():
                     assert member_bound(theta, gens) >= count, (theta, gens)
                 exact = len(weights._rearrangements(distinct, gens))
                 assert member_bound(distinct, gens) == exact, gens
+
+
+def test_rearrangements_match_the_filtered_permutations():
+    for degree in range(1, 7):
+        thetas = {tuple(sorted(v, reverse=True)) for v in itertools.product((2, 1, 0), repeat=degree)}
+        thetas.add(tuple(range(degree - 1, -1, -1)))
+        for r in range(degree):
+            for gens in itertools.combinations(range(1, degree), r):
+                for theta in thetas:
+                    expected = sorted(
+                        mu for mu in set(itertools.permutations(theta))
+                        if all(mu[i - 1] >= mu[i] for i in gens)
+                    )
+                    assert weights._rearrangements(theta, gens) == expected, (theta, gens)
+
+
+def test_a_tied_orbit_walks_no_dead_end_prefixes():
+    # Every position tied to the next leaves one member; a walk that
+    # tried every decreasing prefix took seconds here, doubling per degree.
+    theta = W(*range(23, -1, -1))
+    start = time.perf_counter()
+    built = orbit_poset(theta, frozenset(range(1, 24)))
+    assert time.perf_counter() - start < 0.1
+    assert built.members == (theta,)
 
 
 def test_orbits_beyond_the_member_cap_are_refused(monkeypatch):
