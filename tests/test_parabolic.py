@@ -410,11 +410,17 @@ def test_fill_bounds_hold_on_every_margin_pair():
 
 
 def test_fill_bound_admits_pairs_of_few_long_blocks():
-    # coset_bound is 18! / (8! 10!) = 43758 here, past the cap, but the
+    # coset_bound is 18! / (4! 13!) = 42840 here, past the cap, but the
     # columns (1, 4, 13) fill in at most 2 * 5 ways
     full = full_genset(18)
     table = decompose(18, full - {8}, full - {1, 5})
     assert len(table.max_reps) == 10
+    # rows (3, 4, 6) against columns (1, ..., 1, 5): coset_bound 60060
+    # and the row product 165 * 495 pass the cap, the column product 3^8
+    # does not; the transposed pair needs the row product
+    left, right = full_genset(13) - {3, 7}, frozenset({9, 10, 11, 12})
+    assert len(decompose(13, left, right).max_reps) == 4270
+    assert len(decompose(13, right, left).max_reps) == 4270
     # where coset_bound is the least bound, the refusal reads as before
     for degree, bound in ((9, 362880), (12, 479001600)):
         message = f"^degree {degree} with these gensets allows up to {bound} double cosets, "

@@ -222,12 +222,25 @@ def test_lattice_witness_is_named_only_on_failure():
 
 
 def test_verify_case_keeps_the_witness_of_a_non_lattice():
-    # outside the catalogue: two missing left indices
-    case = SphericalCase(4, (1, 2), (1, 2), "uncatalogued", ShapeClass(UNRECOGNIZED))
-    result = verify_case(case)
-    assert not result.lattice_ok
-    assert result.lattice_witness == ((1, 4, 3, 2), (2, 1, 4, 3))
-    assert result.notes().startswith("not a lattice: 1 4 3 2 and 2 1 4 3 lack a join or a meet")
+    # outside the catalogue: two missing left indices.  The two pairs
+    # share one Hasse diagram, so the second reads the first's verdict
+    # from the memo and maps it onto its own elements.
+    cases = [
+        SphericalCase(4, ic, ic, "uncatalogued", ShapeClass(UNRECOGNIZED))
+        for ic in ((1, 2), (2, 3))
+    ]
+    for case in cases:
+        table = _coset_table(4, case.i_complement, case.j_complement)
+        assert table.cover_masks == (6, 24, 24, 32, 32, 64, 0)
+    _structure.cache_clear()
+    first, second = map(verify_case, cases)
+    assert _structure.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert not first.lattice_ok and not second.lattice_ok
+    assert first.lattice_witness == ((1, 4, 3, 2), (2, 1, 4, 3))
+    assert first.notes().startswith("not a lattice: 1 4 3 2 and 2 1 4 3 lack a join or a meet")
+    assert second.lattice_witness == ((2, 1, 4, 3), (3, 2, 1, 4))
+    assert second.notes().startswith("not a lattice: 2 1 4 3 and 3 2 1 4 lack a join or a meet")
+    assert [first, second] == [labelled_verify_case(case) for case in cases]
 
 
 def assert_report_matches_the_labelled_oracle(degree):
@@ -245,26 +258,6 @@ def test_verify_theorem_matches_the_labelled_oracle(degree):
 @pytest.mark.parametrize("degree", range(10, 14))
 def test_verify_theorem_matches_the_labelled_oracle_degrees_10_to_13(degree):
     assert_report_matches_the_labelled_oracle(degree)
-
-
-def test_non_lattices_sharing_a_diagram_name_their_own_witnesses():
-    # two uncatalogued degree-4 pairs with one Hasse diagram: the second
-    # reads the first's verdict and maps it onto its own elements
-    cases = [
-        SphericalCase(4, ic, ic, "uncatalogued", ShapeClass(UNRECOGNIZED))
-        for ic in ((1, 2), (2, 3))
-    ]
-    for case in cases:
-        table = _coset_table(4, case.i_complement, case.j_complement)
-        assert table.cover_masks == (6, 24, 24, 32, 32, 64, 0)
-    _structure.cache_clear()
-    first = verify_case(cases[0])
-    second = verify_case(cases[1])
-    assert _structure.cache_info()[:2] == (1, 1)  # (hits, misses)
-    assert first.lattice_witness == ((1, 4, 3, 2), (2, 1, 4, 3))
-    assert second.lattice_witness == ((2, 1, 4, 3), (3, 2, 1, 4))
-    assert second.notes().startswith("not a lattice: 2 1 4 3 and 3 2 1 4 lack")
-    assert [first, second] == [labelled_verify_case(case) for case in cases]
 
 
 def test_a_sweep_over_degrees_4_to_8_builds_19_diagrams():
