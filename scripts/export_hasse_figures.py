@@ -10,6 +10,7 @@ degree range, named after its parameters and shape, e.g.
 import argparse
 import pathlib
 
+from dcbruhat.cli import _parse_degree_range
 from dcbruhat.poset import classify_shape
 from dcbruhat.spherical import build_xplus_poset, spherical_pairs
 from dcbruhat.symgroup import format_perm
@@ -21,7 +22,9 @@ def slug(values):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--degrees", default="6..7", help="degree or A..B range")
+    parser.add_argument(
+        "--degrees", default="6..7", type=_parse_degree_range, help="degree or A..B range"
+    )
     parser.add_argument("--out", default="figures", help="output directory")
     parser.add_argument(
         "--all", action="store_true",
@@ -29,14 +32,11 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    text = args.degrees
-    lo, _, hi = text.partition("..")
-    degrees = range(int(lo), int(hi or lo) + 1)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     written = 0
-    for degree in degrees:
+    for degree in args.degrees:
         for case in spherical_pairs(degree):
             p = build_xplus_poset(degree, case.i_complement, case.j_complement)
             shape = classify_shape(p)

@@ -9,18 +9,18 @@ largest height seen per shape.
 import argparse
 from collections import Counter, defaultdict
 
+from dcbruhat.cli import _parse_degree_range
 from dcbruhat.spherical import verify_theorem
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--degrees", default="4..7", help="degree or A..B range")
+    parser.add_argument(
+        "--degrees", default="4..7", type=_parse_degree_range, help="degree or A..B range"
+    )
     args = parser.parse_args()
 
-    lo, _, hi = args.degrees.partition("..")
-    degrees = range(int(lo), int(hi or lo) + 1)
-
-    for degree in degrees:
+    for degree in args.degrees:
         counts: Counter = Counter()
         tallest: dict = defaultdict(int)
         mismatches = []

@@ -419,12 +419,8 @@ def shape_template(shape: ShapeClass) -> FinitePoset:
             raise ValueError(f"chain needs a positive length parameter, got {m}")
         names = [f"q{k}" for k in range(m)]
         return FinitePoset(names, list(zip(names, names[1:])))
-    if tag == STRETCHED_DIAMOND:
-        names = [f"q{k}" for k in range(6)]
-        return FinitePoset(
-            names,
-            [("q0", "q1"), ("q1", "q2"), ("q1", "q3"), ("q2", "q4"), ("q3", "q4"), ("q4", "q5")],
-        )
+    if tag == STRETCHED_DIAMOND:  # the one-rung ladder of the first kind
+        return _ladder_template(LADDER_A, 1)
     if tag in LADDER_TAGS:
         if m is None:
             raise ValueError(f"ladder shape needs a rung parameter, got {shape}")

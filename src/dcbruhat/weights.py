@@ -22,9 +22,11 @@ sums; both read only the class of each prefix, its entries as a
 multiset.  ``step_leq`` applies the first test to two weights.
 ``is_tight`` walks one member from theta down without listing the orbit,
 carries the prefix classes the other member can have as bitmasks over
-the sub-multisets of theta's entries, and stops at the first
-disagreement.  Neither builds the orbit's reachability; ``orbit_poset``
-builds it, with the covers.
+the sub-multisets of theta's entries, stops at the first disagreement,
+and walks the orbit once more to read the other member back.  Neither
+builds the orbit's reachability; ``orbit_poset`` builds it, with the
+covers.  Every pass over members, these two and ``_rearrangements``'s
+listing, is one depth-first walk, ``_walk``.
 
 Internally an orbit runs on the ranks of theta's entries among its
 distinct values, which keep the member order, the step order and the
@@ -46,7 +48,7 @@ import math
 import operator
 import sys
 from collections import namedtuple
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import bruhat
 from .parabolic import COSET_CAP, coset_bound
@@ -56,6 +58,7 @@ from .symgroup import (
     GenSet,
     Perm,
     check_genset,
+    check_word,
     format_genset,
     json_text,
 )
@@ -118,6 +121,7 @@ def apply_perm(w: Perm, mu: Weight) -> Weight:
     >>> apply_perm((2, 3, 1), check_weight([5, 0, 7]))
     (Fraction(7, 1), Fraction(5, 1), Fraction(0, 1))
     """
+    w = check_word(w)
     if len(w) != len(mu):
         raise ValueError(f"degree mismatch: {len(w)} vs {len(mu)}")
     out = [mu[0]] * len(mu)
@@ -140,57 +144,93 @@ def _stabilizer(t: Sequence) -> GenSet:
     return frozenset(i for i in range(1, len(t)) if t[i - 1] == t[i])
 
 
+def _tied_need(degree: int, gens: Iterable[int]) -> list[int]:
+    """need[k]: when position k is tied to the one before, the positions
+    from k to the end of its tied block; 0 otherwise.
+
+    Positions count from 0; a genset index i ties position i to i - 1,
+    and need[degree] is 0.
+
+    >>> _tied_need(5, {1, 2, 4})
+    [0, 2, 1, 0, 1, 0]
+    """
+    gens = set(gens)
+    need = [0] * (degree + 1)
+    for k in range(degree - 1, 0, -1):
+        if k in gens:
+            need[k] = need[k + 1] + 1
+    return need
+
+
+def _walk(count: list[int], need: list[int], depth: int, visit: Callable[[int, int], bool]) -> list[int] | None:
+    """Walk the prefixes of ranks of a (restricted) orbit depth first,
+    in decreasing lexicographic order, theta's first.
+
+    ``count[x]`` is how often rank x occurs, and ``need`` marks the tied
+    blocks (see ``_tied_need``).  A position tied to the one before takes
+    a rank at most the last; and a rank goes where the next position is
+    tied only while enough ranks at or below it are left for the rest of
+    its block.  So every prefix visited is a prefix of some member, and
+    a walk visits at most depth × members of them.
+
+    ``visit(k, z)`` is called once rank z sits at position k.  Below
+    ``depth`` its answer says whether to descend; at ``depth`` it says
+    whether to stop, and the walk then returns the prefix.  A walk that
+    runs out returns None, as does one of depth 0, which visits nothing.
+    """
+    r = len(count)
+    left = list(count)  # the ranks still to place
+    prefix = [0] * depth
+    top = [r - 1] * depth  # the next rank to try at each position
+    k = 0
+    while 0 <= k < depth:
+        z = top[k]
+        while z >= 0 and (not left[z] or need[k + 1] and sum(left[: z + 1]) <= need[k + 1]):
+            z -= 1
+        if z < 0:  # position k is done: back up one
+            k -= 1
+            if k >= 0:
+                left[prefix[k]] += 1
+            continue
+        top[k] = z - 1
+        prefix[k] = z
+        if k + 1 < depth:
+            if visit(k, z):
+                left[z] -= 1
+                k += 1
+                top[k] = z if need[k] else r - 1
+        elif visit(k, z):
+            return prefix
+    return None
+
+
 def _rearrangements(values: Sequence, gens: Iterable[int] = ()) -> list[tuple]:
     """Distinct rearrangements of values, in increasing lexicographic order.
 
     Only those weakly decreasing across every index in the genset are
-    kept.  Both rules prune the growing prefix, so the work follows the
-    number of results rather than m!.  At a tied position a value is
-    skipped unless enough values at or below it are left for the rest
-    of the tied block, so no prefix dead-ends inside a block.
+    kept.  They are ``_walk``'s members, reversed, so the work follows
+    the number of results rather than m!.
 
     >>> _rearrangements((1, 0, 0))
     [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     >>> _rearrangements((1, 0, 0), {1})
     [(0, 0, 1), (1, 0, 0)]
     """
-    distinct = sorted(set(values))
-    counts = [0] * len(distinct)
-    for x in values:
-        counts[distinct.index(x)] += 1
-    gens = set(gens)
-    # rest[pos]: at a position tied to the one before, how many positions
-    # after it its tied block still holds; -1 at an untied position
-    rest = [-1] * (len(values) + 1)
-    for pos in range(len(values) - 1, 0, -1):
-        if pos in gens:
-            rest[pos] = rest[pos + 1] + 1
-    every = range(len(distinct))
+    distinct, ranks = _ranked(values)
+    count = [ranks.count(x) for x in range(len(distinct))]
+    last = len(values) - 1
+    member = list(values)
     out: list[tuple] = []
-    prefix: list = []
 
-    def extend(pos: int, last: int) -> None:
-        if pos == len(values):
-            out.append(tuple(prefix))
-            return
-        after = rest[pos]
-        if after < 0:
-            ks = every
-        else:  # from the lowest value with enough left at or below it
-            low, below = 0, counts[0]
-            while below <= after:
-                low += 1
-                below += counts[low]
-            ks = range(low, last + 1)
-        for k in ks:
-            if counts[k]:
-                counts[k] -= 1
-                prefix.append(distinct[k])
-                extend(pos + 1, k)
-                prefix.pop()
-                counts[k] += 1
+    def visit(k: int, z: int) -> bool:
+        member[k] = distinct[z]
+        if k < last:
+            return True
+        out.append(tuple(member))
+        return False
 
-    extend(0, len(distinct) - 1)
+    _walk(count, _tied_need(len(values), gens), len(values), visit)
+    out.reverse()
     return out
 
 
@@ -218,7 +258,7 @@ def _multinomial(t: tuple) -> int:
 
 def respects(mu: Weight, gens: Iterable[int]) -> bool:
     """Whether mu is weakly decreasing across every index in the genset."""
-    return all(mu[i - 1] >= mu[i] for i in gens)
+    return all(mu[i - 1] >= mu[i] for i in check_genset(gens, len(mu)))
 
 
 def dominant_shape(degree: int, jc: Iterable[int]) -> Weight:
@@ -380,7 +420,8 @@ def is_tight(theta: Sequence, restriction: GenSet | None = None) -> tuple[bool, 
 
 
 #: The most mask bits ``is_tight`` may take, counted as classes of sorted
-#: prefixes × members: its walk visits at most degree × members prefixes.
+#: prefixes × members: each of its two walks (see ``_walk``) visits at
+#: most degree × members prefixes.
 #: The whole group at degree 8 takes 254 classes × 8! members, about
 #: 10.2M bits, and ``tight_scan(8, cap=8)`` about 0.04 s; degree 9 would
 #: take 510 × 9!, about 185M bits, and ``tight_scan(9, cap=9)`` about
@@ -485,19 +526,19 @@ def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
     two k-prefixes, so each class of mu's prefixes gets two masks of
     classes, the second nested in the first.
 
-    mu walks the members depth first from theta down, in decreasing
-    lexicographic order, and the orbit is never listed.  Along the walk,
-    the classes of nu's k-prefixes are carried as two masks: R, those
-    some nu can have while its prefix sums stayed at most mu's at every
-    length so far, and T within R, those whose sorted prefix has also
-    failed at some length to be entrywise at most mu's.  One position
-    shifts both by each rank's weight where a class has room for the
-    rank, and ANDs them with the masks of mu's new class.  Where the next
-    position is tied to the last, they are kept per last rank.  The first
-    mu whose T is nonempty at full length is the witness's mu, and nu is
-    the largest member in that T: one greedy pass from the top reads it
-    against masks of the prefixes from which such a nu can be completed,
-    built backward along mu's classes.
+    mu walks the members from theta down (see ``_walk``), and the orbit
+    is never listed.  Along the walk, the classes of nu's k-prefixes are
+    carried as two masks: R, those some nu can have while its prefix
+    sums stayed at most mu's at every length so far, and T within R,
+    those whose sorted prefix has also failed at some length to be
+    entrywise at most mu's.  One position shifts both by each rank's
+    weight where a class has room for the rank, and ANDs them with the
+    masks of mu's new class.  Where the next position is tied to the
+    last, they are kept per last rank.  The first mu whose T is nonempty
+    at full length is the witness's mu.  Its nu is the largest member in
+    that T: a second walk from the top keeps only the prefixes whose
+    class mu's class dominates at each length, carries whether one of
+    them failed the step order, and stops at the first member that did.
 
     The members and the classes are built on ranks (see ``_ranked``),
     and the prefix sums and the witness read the values back.
@@ -516,12 +557,7 @@ def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
     for n, w, p in zip(count, weight, weight[1:]):
         room = _tile((1 << n * w) - 1, p, box // p)
         steps.append((room | room << box, w))
-    # need[k]: when position k is tied to the one before, the positions
-    # from k to the end of its tied block; 0 otherwise
-    need = [0] * (d + 1)
-    for k in range(d - 1, 0, -1):
-        if gens and k in gens:
-            need[k] = need[k + 1] + 1
+    need = _tied_need(d, gens or ())
     # the values on a common integer scale, for the prefix sums
     scale = math.lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (scale // v.denominator) for v in values]
@@ -546,24 +582,13 @@ def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
     # class of (d - 1)-prefixes has room for, so T is settled a length early.
     stop = d if need[d - 1] else d - 1
     mu = [0] * d
-    left = count.copy()  # the ranks mu has still to place
     at = [0] * (d + 1)  # the class of mu's k-prefix
     sums = [0] * (d + 1)  # and its sum
     state: list = [1] * (d + 1)  # nu's masks at length k
-    nxt = [r - 1] * (d + 1)  # the next rank mu tries at position k
-    k = 0
-    while k >= 0:
-        z = nxt[k]
-        while z >= 0 and (not left[z] or need[k + 1] and sum(left[: z + 1]) <= need[k + 1]):
-            z -= 1
-        if z < 0:
-            k -= 1
-            if k >= 0:
-                left[mu[k]] += 1
-            continue
-        nxt[k] = z - 1
+
+    def climb(k: int, z: int) -> bool:
+        """Put rank z at mu's position k; at ``stop``, whether T is nonempty."""
         mu[k] = z
-        left[z] -= 1
         c = at[k + 1] = at[k] + weight[z]
         s = sums[k + 1] = sums[k] + scaled[z]
         if c not in masks:
@@ -590,66 +615,28 @@ def _tight_witness(t: tuple, gens: GenSet | None) -> tuple[tuple, tuple] | None:
             state[k + 1] = [settle(g, dom, fail) for g in grown]
         else:
             state[k + 1] = settle(functools.reduce(operator.or_, grown), dom, fail)
-        if k + 1 < stop:
-            k += 1
-            nxt[k] = z if need[k] else r - 1
-        elif state[stop] >> box:
-            break
-        else:
-            left[z] += 1
-    else:
+        return k + 1 < stop or state[stop] >> box > 0
+
+    if _walk(count, need, stop, climb) is None:
         return None
     if stop < d:
-        mu[-1] = left.index(1)
+        mu[-1] = sum(ranks) - sum(mu[:-1])
         at[d] = full
 
-    nu = _largest_nu([masks[at[j]][:2] for j in range(1, d + 1)], need, count, steps)
+    cls = [0] * (d + 1)  # the class of nu's k-prefix
+    failed = [0] * (d + 1)  # whether one of its prefixes failed the step order
+
+    def read(k: int, z: int) -> bool:
+        """Put rank z at nu's position k; at full length, whether nu failed."""
+        c = cls[k + 1] = cls[k] + weight[z]
+        dom, fail, _ = masks[at[k + 1]]
+        if not dom >> c & 1:
+            return False
+        failed[k + 1] = failed[k] | fail >> c & 1
+        return k + 1 < d or failed[d] > 0
+
+    nu = _walk(count, need, d, read)
     return tuple(values[x] for x in mu), tuple(values[x] for x in nu)
-
-
-def _largest_nu(along: list[tuple[int, int]], need: list[int], count: list[int], steps: list) -> list[int]:
-    """The ranks of the largest nu that mu dominates while nu is not above mu.
-
-    ``along[j - 1]`` holds two masks for the class of mu's j-prefix: the
-    classes it dominates, and those of them not below it in the step
-    order.  Backward from the full class, ``ok[j][f]`` gets the classes of
-    j-prefixes from which nu completes to such a member when it arrives
-    with the flag f, set once an earlier prefix failed the step order;
-    they are kept per last rank where position j is tied.  One greedy
-    pass from the top then takes at each position the largest rank that
-    keeps a completion.  ``steps`` pairs each rank's room mask, twice
-    as wide as the box (see ``_tight_witness``), with its weight.
-    """
-    d, r = len(along), len(count)
-    full = along[-1][0]
-    done = [0, full]  # at full length, by flag
-    ok: list = [None] * (d + 1)
-    for j in range(d, 0, -1):
-        dom, fail = along[j - 1]
-        keep = dom & ~fail
-        if need[j]:
-            ok[j] = [keep & a | fail & b for a, b in zip(*done)], [dom & b for b in done[1]]
-        else:
-            ok[j] = keep & done[0] | fail & done[1], dom & done[1]
-        done = []
-        for f in ok[j]:
-            back = [h & (f[z] if need[j] else f) >> w for z, (h, w) in enumerate(steps)]
-            done.append(list(itertools.accumulate(back, operator.or_)) if need[j - 1] else functools.reduce(operator.or_, back))
-    nu: list[int] = []
-    c = flag = 0
-    have = [0] * r
-    for j in range(1, d + 1):
-        fits = ok[j][flag]
-        top = nu[-1] if need[j - 1] else r - 1
-        z = next(
-            z for z in range(top, -1, -1)
-            if have[z] < count[z] and (fits[z] if need[j] else fits) >> c + steps[z][1] & 1
-        )
-        c += steps[z][1]
-        have[z] += 1
-        nu.append(z)
-        flag |= along[j - 1][1] >> c & 1
-    return nu
 
 
 def rule_predicts_tight(degree: int, jc: Iterable[int]) -> bool:

@@ -5,6 +5,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 #: The DOT files the exporter writes at degree 6: the catalogued
@@ -48,3 +50,19 @@ def test_hasse_figure_export_writes_the_degree_6_figures(tmp_path, capsys, monke
     for name in names:
         digest.update(name.encode() + b"\0" + (tmp_path / name).read_bytes() + b"\0")
     assert digest.hexdigest() == DEGREE_6_FIGURES_SHA256
+
+
+@pytest.mark.parametrize("degrees", ["7..4", "x", "1"])
+@pytest.mark.parametrize(
+    "name,extra", [("shape_census.py", []), ("export_hasse_figures.py", ["--out", "out"])]
+)
+def test_a_bad_degree_range_is_a_usage_error(name, extra, degrees, tmp_path, capsys, monkeypatch):
+    # Each once printed nothing and exited 0, raised a ValueError
+    # traceback, or failed inside the catalogue sweep.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(name, ["--degrees", degrees, *extra], monkeypatch)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"--degrees: invalid _parse_degree_range value: {degrees!r}" in err
+    assert not any(tmp_path.iterdir())

@@ -69,6 +69,13 @@ def test_apply_perm_places_coordinates():
     assert apply_perm((3, 1, 2), W(5, 7, 9)) == W(7, 9, 5)
 
 
+@pytest.mark.parametrize("w", [(1, 1, 1), (3, 2, 2), (0, 1, 2), (1, 2, 4)])
+def test_apply_perm_refuses_a_word_that_is_no_permutation(w):
+    # A repeated letter left a coordinate out; a 0 wrapped to the last position.
+    with pytest.raises(ValueError, match="not a permutation word"):
+        apply_perm(w, W(1, 2, 3))
+
+
 def test_stabilizer_genset_reads_equal_neighbors():
     assert stabilizer_genset(W(2, 1, 1, 0)) == frozenset({2})
     assert stabilizer_genset(W(1, 1, 0, 0)) == frozenset({1, 3})
@@ -99,6 +106,13 @@ def test_respects_checks_weak_decrease():
     assert respects(W(2, 1, 1, 0), frozenset({1, 2}))
     assert not respects(W(1, 2, 1, 0), frozenset({1}))
     assert respects(W(1, 2, 1, 0), frozenset({2, 3}))
+
+
+@pytest.mark.parametrize("gens", [{0}, {4}, {-1}, {1.5}])
+def test_respects_refuses_indices_out_of_range(gens):
+    # Index 0 compared the last coordinate with the first.
+    with pytest.raises(ValueError, match="out of range for degree 4"):
+        respects(W(1, 2, 1, 0), gens)
 
 
 def test_single_box_orbit_is_a_chain():
@@ -467,6 +481,37 @@ def test_a_tied_orbit_walks_no_dead_end_prefixes():
     built = orbit_poset(theta, frozenset(range(1, 24)))
     assert time.perf_counter() - start < 0.1
     assert built.members == (theta,)
+
+
+def test_every_walk_visits_at_most_degree_times_members_prefixes(monkeypatch):
+    # The member listing, the walk of mu and the readback of nu each
+    # visit only prefixes of members, so at most degree × members.
+    walk, runs = weights._walk, []
+
+    def counting_walk(count, need, depth, visit):
+        calls = 0
+
+        def counted(k, z):
+            nonlocal calls
+            calls += 1
+            return visit(k, z)
+
+        try:
+            return walk(count, need, depth, counted)
+        finally:
+            runs.append(calls)
+
+    monkeypatch.setattr(weights, "_walk", counting_walk)
+    readbacks = 0
+    for degree in range(1, 6):
+        for theta, gens in restricted_cases(degree):
+            runs.clear()
+            members = len(orbit_poset(theta, gens).members)
+            tight, _ = is_tight(theta, gens)
+            assert len(runs) == 2 + (not tight), (theta, gens)
+            assert max(runs) <= degree * members, (theta, gens, runs, members)
+            readbacks += not tight
+    assert readbacks
 
 
 def test_orbits_beyond_the_member_cap_are_refused(monkeypatch):
