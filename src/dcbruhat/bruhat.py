@@ -30,6 +30,11 @@ DEFAULT_WORD_CAP = 28
 #: length count, and each letter at most doubles them.
 INTERVAL_CAP = math.factorial(DEFAULT_DEGREE_CAP)
 
+#: Most members an interval's poset may hold.  Its reachability masks
+#: take members² bits, which ``weights.ORBIT_MEMBER_CAP`` bounds at 7!
+#: for the same masks; the whole group at degree 8 would take 614 MiB.
+_MEMBER_CAP = math.factorial(7)
+
 
 def leq(u: Perm, v: Perm) -> bool:
     """Whether u is below v in strong order.
@@ -120,7 +125,8 @@ def interval(u: Perm, v: Perm) -> FinitePoset:
 
     An interval is order-convex, so anything strictly between two of its
     members is itself a member; the induced covers are therefore exactly
-    the group covers restricted to the member set.
+    the group covers restricted to the member set.  An interval of more
+    than ``_MEMBER_CAP`` members is refused before its poset is built.
     """
     if not leq(u, v):
         raise ValueError(f"{u} is not below {v}; empty interval")
@@ -139,6 +145,10 @@ def interval(u: Perm, v: Perm) -> FinitePoset:
         if len(grown) > INTERVAL_CAP:
             raise CapExceeded(f"growing the interval passes the interval cap {INTERVAL_CAP}")
     members = {w for w in grown if leq(u, w)}
+    if len(members) > _MEMBER_CAP:
+        raise CapExceeded(
+            f"the interval has {len(members)} members, over the member cap {_MEMBER_CAP}"
+        )
     edges = [
         (w, c)
         for w in members

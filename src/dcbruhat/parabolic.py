@@ -239,25 +239,33 @@ def _tables(rows: tuple[int, ...], cols: tuple[int, ...]) -> Iterator[tuple[tupl
             pending.append(_fillings(rows[a + 1], left))
 
 
-def _longest_member(rows: tuple[int, ...], table) -> Perm:
-    """The longest member of one table's coset.
+def _column_read(table) -> tuple[int, ...]:
+    """The table's cells read column by column, each column from the bottom row up."""
+    return sum(zip(*table[::-1]), ())
 
-    Entry (a, b) of the table counts the positions of right block b that
+
+def _read_longest(rows: tuple[int, ...], flat: tuple[int, ...]) -> Perm:
+    """The longest member of the coset whose table reads ``flat`` by ``_column_read``.
+
+    Cell (a, b) of the table counts the positions of right block b that
     hold values of left block a.  The longest member hands each left
     block's values out in decreasing order, to the right blocks from
-    left to right, and lists each right block decreasing.
+    left to right, and lists each right block decreasing: it visits the
+    cells in the column-read order, each column from the bottom row up.
     """
     high = list(itertools.accumulate(rows))
     longest: list[int] = []
-    upward = range(len(rows) - 1, -1, -1)
-    for column in zip(*table):
-        for a in upward:
-            m = column[a]
-            if m:
-                h = high[a]
-                longest += range(h, h - m, -1)
-                high[a] = h - m
+    for a, m in zip(itertools.cycle(range(len(rows) - 1, -1, -1)), flat):
+        if m:
+            h = high[a]
+            longest += range(h, h - m, -1)
+            high[a] = h - m
     return tuple(longest)
+
+
+def _longest_member(rows: tuple[int, ...], table) -> Perm:
+    """The longest member of one table's coset."""
+    return _read_longest(rows, _column_read(table))
 
 
 def _shortest_member(rows: tuple[int, ...], table) -> Perm:
@@ -325,11 +333,15 @@ def _margins(
     genset's blocks of positions the column sums; both gensets must
     already have passed ``check_genset``.  The call refuses when
     ``coset_bound`` exceeds ``COSET_CAP`` and so do both bounds of
-    ``_fill_bound``; the message names ``coset_bound``.
+    ``_fill_bound``; the message names ``coset_bound``.  No pair has
+    more cosets than the group has members, so when degree! is within
+    the cap the bounds are skipped.
     """
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
     rows, cols = _blocks(degree, left_gens), _blocks(degree, right_gens)
+    if math.factorial(degree) <= COSET_CAP:
+        return rows, cols
     bound = _bound(degree, rows, cols)
     if (
         bound > COSET_CAP
@@ -363,53 +375,41 @@ def max_representatives(degree: int, left_gens: GenSet, right_gens: GenSet) -> l
 
 @lru_cache(maxsize=256)
 def _moves(height: int, width: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The 2x2 moves on tables of one shape, flattened row by row.
+    """The 2x2 moves on tables of one shape, flattened as ``_column_read`` reads them.
 
-    Cell (a, b) sits at a * width + b, and entry p lists the moves that
-    take one unit from p = (a, b).  A move (q, r, s, between) also takes
-    one from q = (c, d), with a < c and b < d, adds one to r = (a, d) and
-    s = (c, b), and lists the rectangle's cells other than its corners.
+    Cell (a, b) sits at b * height + height - 1 - a, and entry p lists
+    the moves that take one unit from p = (a, b).  A move (q, r, s,
+    between) also takes one from q = (c, d), with a < c and b < d, adds
+    one to r = (a, d) and s = (c, b), and lists the rectangle's cells
+    other than its corners.
     """
+
+    def at(a: int, b: int) -> int:
+        return b * height + height - 1 - a
+
     moves = [[] for _ in range(height * width)]
     for a, c in itertools.combinations(range(height), 2):
         for b, d in itertools.combinations(range(width), 2):
             cells = itertools.product(range(a, c + 1), range(b, d + 1))
-            between = tuple(x * width + y for x, y in cells if x not in (a, c) or y not in (b, d))
-            moves[a * width + b].append((c * width + d, a * width + d, c * width + b, between))
+            between = tuple(at(x, y) for x, y in cells if x not in (a, c) or y not in (b, d))
+            moves[at(a, b)].append((at(c, d), at(a, d), at(c, b), between))
     return tuple(map(tuple, moves))
 
 
-def decompose(degree: int, left_gens: GenSet, right_gens: GenSet) -> DoubleCosetTable:
-    """Split the group into double cosets and find their covers table by table.
+def _sorted_cosets(rows: tuple[int, ...], cols: tuple[int, ...]):
+    """The cosets of one margin pair by index: (flats, tables, cover_masks).
 
-    A move takes one unit from cells (a, b) and (c, d) of a table, with
-    a < c and b < d, and adds one to (a, d) and (c, b): it swaps a value
-    of left block a with a larger one of left block c across right
-    blocks b < d, so the target coset lies above.  Every cover is one
-    reflection away (Bjorner-Brenti, Combinatorics of Coxeter Groups,
-    Ch. 2), and so one move away.  A move's target is a cover exactly
-    when every cell of the rectangle from (a, b) to (c, d), other than
-    its four corners, is zero: the double-coset form of the rule that a
-    transposition covers when no value lies in between.  So each table's
-    covers are read off that table alone.  Only the longest members are
-    built here; ``entries`` adds the shortest members and sizes when read.
-
-    At degree 4 with I = {2} and J = {1, 3}, table 0's move across rows
-    0 and 2 reaches table 3, but row 1 of that rectangle is not zero, so
-    table 3 lies above table 0 without covering it; tables 1 and 2 do:
-
-    >>> table = decompose(4, frozenset({2}), frozenset({1, 3}))
-    >>> table.tables[0], table.tables[3]
-    (((1, 0), (1, 1), (0, 1)), ((0, 1), (1, 1), (1, 0)))
-    >>> table.cover_masks
-    (6, 8, 8, 0)
+    Each table is read into its column-read flat, and the cosets are
+    sorted by their flats, which is the order of their longest members:
+    two longest members first differ where their flats first differ,
+    and the larger count puts there a value of left block a where the
+    other member, whose column must make up the count from the rows
+    above, puts a value of a lower block.  The covers are found on the
+    flats by the moves of ``_moves``; no member is built.
     """
-    left_gens = check_genset(left_gens, degree)
-    right_gens = check_genset(right_gens, degree)
-    rows, cols = _margins(degree, left_gens, right_gens)
-    cosets = sorted((_longest_member(rows, t), t) for t in _tables(rows, cols))
+    cosets = sorted((_column_read(t), t) for t in _tables(rows, cols))
     moves = _moves(len(rows), len(cols))
-    flats = [sum(t, ()) for _, t in cosets]
+    flats, tables = zip(*cosets)
     index = {flat: i for i, flat in enumerate(flats)}
     covers = []
     for flat in flats:
@@ -426,8 +426,43 @@ def decompose(degree: int, left_gens: GenSet, right_gens: GenSet) -> DoubleCoset
                         step[s] += 1
                         mask |= 1 << index[tuple(step)]
         covers.append(mask)
-    max_reps, tables = zip(*cosets)
-    return DoubleCosetTable(degree, left_gens, right_gens, max_reps, tables, tuple(covers))
+    return flats, tables, tuple(covers)
+
+
+def decompose(degree: int, left_gens: GenSet, right_gens: GenSet) -> DoubleCosetTable:
+    """Split the group into double cosets and find their covers table by table.
+
+    A move takes one unit from cells (a, b) and (c, d) of a table, with
+    a < c and b < d, and adds one to (a, d) and (c, b): it swaps a value
+    of left block a with a larger one of left block c across right
+    blocks b < d, so the target coset lies above.  Every cover is one
+    reflection away (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+    Ch. 2), and so one move away.  A move's target is a cover exactly
+    when every cell of the rectangle from (a, b) to (c, d), other than
+    its four corners, is zero: the double-coset form of the rule that a
+    transposition covers when no value lies in between.  So each table's
+    covers are read off that table alone.  ``_sorted_cosets`` orders the
+    cosets by their tables read column by column, which is the order of
+    their longest members, so the longest members are built after the
+    sort, and only they; ``entries`` adds the shortest members and sizes
+    when read.
+
+    At degree 4 with I = {2} and J = {1, 3}, table 0's move across rows
+    0 and 2 reaches table 3, but row 1 of that rectangle is not zero, so
+    table 3 lies above table 0 without covering it; tables 1 and 2 do:
+
+    >>> table = decompose(4, frozenset({2}), frozenset({1, 3}))
+    >>> table.tables[0], table.tables[3]
+    (((1, 0), (1, 1), (0, 1)), ((0, 1), (1, 1), (1, 0)))
+    >>> table.cover_masks
+    (6, 8, 8, 0)
+    """
+    left_gens = check_genset(left_gens, degree)
+    right_gens = check_genset(right_gens, degree)
+    rows, cols = _margins(degree, left_gens, right_gens)
+    flats, tables, covers = _sorted_cosets(rows, cols)
+    max_reps = tuple(_read_longest(rows, flat) for flat in flats)
+    return DoubleCosetTable(degree, left_gens, right_gens, max_reps, tables, covers)
 
 
 def coset_of(w: Perm, left_gens: GenSet, right_gens: GenSet) -> tuple[Perm, Perm]:

@@ -2,10 +2,11 @@
 
 Each builds what no command needs: a Hasse diagram reduced from a whole
 relation, the order tables of a whole symmetric group, a coset's members
-found by closing one member under generator moves, every coset of a pair
-checked against those tables, family membership decided by isomorphism
-against the templates, each catalogued case checked on its own labelled
-poset, and tightness by masks over every orbit member.
+found by closing one member under generator moves, a coset's longest
+member walked from its table's rows, every coset of a pair checked
+against those tables, family membership decided by isomorphism against
+the templates, each catalogued case checked on its own labelled poset,
+and tightness by masks over every orbit member.
 With them live the small helpers that only tests call: left
 multiplication, left descents and ascents, and the rejected bottom
 length of the diamond analysis.  Test files import them from here and
@@ -171,6 +172,27 @@ def coset_members(w, left_gens, right_gens):
                 block.add(y)
                 frontier.append(y)
     return frozenset(block)
+
+
+def longest_member(rows, table):
+    """The longest member of one table's coset, walked row block by row block.
+
+    Entry (a, b) of the table counts the positions of right block b that
+    hold values of left block a.  The longest member hands each left
+    block's values out in decreasing order, to the right blocks from
+    left to right, and lists each right block decreasing.
+    """
+    high = list(itertools.accumulate(rows))
+    longest = []
+    upward = range(len(rows) - 1, -1, -1)
+    for column in zip(*table):
+        for a in upward:
+            m = column[a]
+            if m:
+                h = high[a]
+                longest += range(h, h - m, -1)
+                high[a] = h - m
+    return tuple(longest)
 
 
 def linking_genset(w, left_gens, right_gens):

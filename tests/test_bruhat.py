@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -110,6 +111,19 @@ def test_lower_intervals_beyond_the_interval_cap_are_refused():
     w0 = longest_element(8)
     assert leq_subword_oracle(identity(8), w0)
     assert len(interval(w0, w0)) == 1
+
+
+def test_intervals_beyond_the_member_cap_are_refused_before_the_poset():
+    from dcbruhat.symgroup import CapExceeded
+
+    start = time.perf_counter()
+    message = "^the interval has 40320 members, over the member cap 5040$"
+    with pytest.raises(CapExceeded, match=message):
+        interval(identity(8), longest_element(8))
+    assert time.perf_counter() - start < 2
+    # the longest element of the first seven symbols: exactly 7! members
+    v = (7, 6, 5, 4, 3, 2, 1, 8)
+    assert len(interval(identity(8), v)) == 5040
 
 
 def test_covers_are_tight_steps():

@@ -18,10 +18,13 @@ from dcbruhat.parabolic import (
     CosetEntry,
     DoubleCosetTable,
     _blocks,
+    _column_read,
     _fill_bound,
     _fillings,
     _longest_member,
     _margins,
+    _read_longest,
+    _sorted_cosets,
     _tables,
     coset_of,
     decompose,
@@ -49,6 +52,7 @@ from oracles import (
     left_ascents,
     left_descents,
     linking_genset,
+    longest_member,
     mult_left,
     order_tables,
 )
@@ -377,6 +381,37 @@ def test_iterative_fillings_match_recursive_oracle():
         for room in itertools.product(range(4), repeat=k):
             for total in range(sum(room) + 3):
                 assert list(_fillings(total, room)) == list(recursive_fillings(total, room))
+
+
+# --- the column-read sort as the order of the longest members --------------
+
+
+def assert_column_read_order_is_longest_member_order(degree):
+    for I, J in itertools.product(subsets(degree), repeat=2):
+        rows, cols = _blocks(degree, I), _blocks(degree, J)
+        members = [longest_member(rows, t) for t in sorted(_tables(rows, cols), key=_column_read)]
+        assert members == sorted(members), (I, J)
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_column_read_order_is_longest_member_order(degree):
+    assert_column_read_order_is_longest_member_order(degree)
+
+
+@pytest.mark.slow
+def test_column_read_order_is_longest_member_order_degree8():
+    assert_column_read_order_is_longest_member_order(8)
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_the_engine_sorts_by_longest_member(degree):
+    for I, J in itertools.product(subsets(degree), repeat=2):
+        rows, cols = _blocks(degree, I), _blocks(degree, J)
+        flats, tables, _ = _sorted_cosets(rows, cols)
+        assert flats == tuple(map(_column_read, tables))
+        members = sorted(longest_member(rows, t) for t in _tables(rows, cols))
+        assert [longest_member(rows, t) for t in tables] == members, (I, J)
+        assert list(decompose(degree, I, J).max_reps) == members
 
 
 def test_coset_poset_builds_no_entries(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from dcbruhat.bruhat import leq
 from dcbruhat.parabolic import max_representatives
 from dcbruhat.poset import UNRECOGNIZED, FinitePoset, ShapeClass, classify_shape
+from dcbruhat import spherical
 from dcbruhat.spherical import (
     NoClosedFormBottom,
     SphericalCase,
@@ -241,6 +242,32 @@ def test_verify_case_keeps_the_witness_of_a_non_lattice():
     assert second.lattice_witness == ((2, 1, 4, 3), (3, 2, 1, 4))
     assert second.notes().startswith("not a lattice: 2 1 4 3 and 3 2 1 4 lack a join or a meet")
     assert [first, second] == [labelled_verify_case(case) for case in cases]
+
+
+def test_verify_case_builds_only_the_longest_members_it_reads(monkeypatch):
+    built = []
+    read_longest, verify = spherical._read_longest, spherical.verify_case
+
+    def counted_read(rows, flat):
+        built[-1] += 1
+        return read_longest(rows, flat)
+
+    def counted_verify(case):
+        built.append(0)
+        return verify(case)
+
+    monkeypatch.setattr(spherical, "_read_longest", counted_read)
+    monkeypatch.setattr(spherical, "verify_case", counted_verify)
+    report = spherical.verify_theorem(6)
+    assert len(built) == len(report.rows) == len(spherical_pairs(6))
+    for row, count in zip(report.rows, built):
+        # the bottom and the top, plus a witness pair on a non-lattice
+        assert count == 2 if row.lattice_ok else count <= 4, row.case
+    # two uncatalogued non-lattices: the witness, the bottom and the top
+    built.clear()
+    for ic in ((1, 2), (2, 3)):
+        counted_verify(SphericalCase(4, ic, ic, "uncatalogued", ShapeClass(UNRECOGNIZED)))
+    assert built == [4, 4]
 
 
 def assert_report_matches_the_labelled_oracle(degree):
