@@ -11,10 +11,12 @@ the left block sizes and whose column sums are the right block sizes
 cosets in Coxeter groups", Discrete Analysis 2018).  Each table yields
 its coset's unique shortest and longest members and its size without
 visiting the group.  ``decompose`` walks the tables, orders the cosets
-by their longest members and finds each table's covers among its 2x2
-moves; every other reader of the cosets reads its records.
-``coset_of`` and ``factorize`` answer for one coset from the table of
-one member, and ``parabolic_elements`` lists a subgroup block by block.
+by their tables read column by column, which is the order of their
+longest members, and finds each table's covers among its 2x2 moves;
+``spherical.verify_case`` calls the same engine, and every other
+reader of the cosets reads ``decompose``'s records.  ``coset_of`` and
+``factorize`` answer for one coset from the table of one member, and
+``parabolic_elements`` lists a subgroup block by block.
 """
 from __future__ import annotations
 

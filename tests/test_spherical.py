@@ -5,10 +5,10 @@ import json
 
 import pytest
 
+from dcbruhat import spherical
 from dcbruhat.bruhat import leq
 from dcbruhat.parabolic import max_representatives
 from dcbruhat.poset import UNRECOGNIZED, FinitePoset, ShapeClass, classify_shape
-from dcbruhat import spherical
 from dcbruhat.spherical import (
     NoClosedFormBottom,
     SphericalCase,
