@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 
-from .poset import FinitePoset
+from .poset import _MEMBER_CAP, FinitePoset
 from .symgroup import (
     DEFAULT_DEGREE_CAP,
     CapExceeded,
@@ -29,11 +29,6 @@ DEFAULT_WORD_CAP = 28
 #: default degree cap.  Only products that can still reach the bottom's
 #: length count, and each letter at most doubles them.
 INTERVAL_CAP = math.factorial(DEFAULT_DEGREE_CAP)
-
-#: Most members an interval's poset may hold.  Its reachability masks
-#: take members² bits, which ``weights.ORBIT_MEMBER_CAP`` bounds at 7!
-#: for the same masks; the whole group at degree 8 would take 614 MiB.
-_MEMBER_CAP = math.factorial(7)
 
 
 def leq(u: Perm, v: Perm) -> bool:

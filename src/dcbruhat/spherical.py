@@ -11,24 +11,25 @@ A case builds only the longest members its checks read.
 
 Throughout, ``degree`` is the number of symbols and n = degree - 1 the
 number of simple transpositions.  The catalogue is normalized so the
-left complement has at most one index; instances whose natural
-parameters sit at the far end of the index range are handled by the
-order-reversing relabeling i -> n+1-i of the indices, which conjugates
-one-line words by the longest element.
+left complement has at most one index, and it is generated family by
+family.  The rows defined by subsets are listed directly: the 2^n + n
+trivial rows and the projective-factor rows at left index 1 or n.  The
+O(n²) parameterised rows (Grassmannian, consecutive, diamond, ladder)
+come from one generator.  Each diamond and ladder is written once, in
+normal form, beside its mirror image under the order-reversing
+relabeling i -> n+1-i of the indices, which conjugates one-line words
+by the longest element; the mirrored row keeps the normal parameters.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .parabolic import DoubleCosetTable, _margins, _read_longest, _sorted_cosets, decompose
 from .poset import (
     CHAIN,
     LADDER_A,
-    LADDER_B,
-    LADDER_C,
-    LADDER_D,
     LADDER_TAGS,
     POINT,
     STRETCHED_DIAMOND,
@@ -67,10 +68,10 @@ class SphericalCase(
 ):
     """One catalogued pair, with its tag and predicted shape.
 
-    ``norm`` holds the normalized parameters the side conditions were
-    evaluated on: (p, q) for diamonds, (i, j) for ladders, None
-    otherwise.  ``mirrored`` records whether the instance was brought to
-    normal form by the index-reversing relabeling.
+    ``norm`` holds the row's parameters in normal form: (p, q) for
+    diamonds, (i, j) for ladders, None otherwise.  ``mirrored`` records
+    whether the row is the image of its normal form under the
+    index-reversing relabeling.
 
     Fields: ``degree: int``, ``i_complement: tuple[int, ...]``,
     ``j_complement: tuple[int, ...]``, ``tag: str``, ``predicted_shape:
@@ -87,86 +88,57 @@ class SphericalCase(
         )
 
 
-def _mirror_index(i: int, degree: int) -> int:
-    return degree - i
-
-
 def _mirror_word(w: Perm) -> Perm:
     """Conjugation by the longest element: reverse and complement values."""
-    m = len(w)
-    return tuple(m + 1 - w[m - 1 - k] for k in range(m))
+    return tuple(len(w) + 1 - x for x in reversed(w))
 
 
-def _classify(degree: int, i: int, jc: tuple[int, ...]):
-    """Tag a left-singleton pair, or None when it is not in the catalogue.
+def _family_rows(degree: int):
+    """The Grassmannian, consecutive, diamond and ladder rows, unsorted.
 
-    Returns (tag, predicted_shape, norm, mirrored).
+    Diamonds and ladders are written in normal form, each row beside its
+    mirror image under i -> degree - i, which keeps the normal parameters.
     """
     n = degree - 1
-    if len(jc) == 1:
-        return TAG_GRASSMANNIAN, ShapeClass(CHAIN), None, False
-    if len(jc) == 2 and jc[1] == jc[0] + 1:
-        return TAG_CONSECUTIVE, ShapeClass(CHAIN), None, False
-    if i in (1, n):
-        return TAG_PROJECTIVE, ShapeClass(CHAIN), None, False
-    if len(jc) == 2 and i in (2, n - 1):
-        p, q = jc
-        if 1 < p and p + 1 < q and q < n:
-            if i == 2:
-                return TAG_DIAMOND, ShapeClass(STRETCHED_DIAMOND), (p, q), False
-            return (
-                TAG_DIAMOND,
-                ShapeClass(STRETCHED_DIAMOND),
-                (_mirror_index(q, degree), _mirror_index(p, degree)),
-                True,
-            )
-    if len(jc) == 2 and 2 <= i <= n - 1:
-        mirrored = None
-        if jc[0] == 1 and 2 < jc[1] < n - 1:
-            mirrored = False
-            istar, jstar = i, jc[1]
-        elif jc[1] == n and 2 < jc[0] < n - 1:
-            mirrored = True
-            istar, jstar = _mirror_index(i, degree), _mirror_index(jc[0], degree)
-        if mirrored is not None:
-            below = istar + jstar - 2 < n
-            if jstar <= istar:
-                tag = LADDER_A if below else LADDER_B
-            else:
-                tag = LADDER_C if below else LADDER_D
-            return tag, ShapeClass(tag), (istar, jstar), mirrored
-    return None
+
+    def both(i, jc, tag, shape, norm):
+        yield SphericalCase(degree, (i,), jc, tag, shape, norm, False)
+        mirror = tuple(degree - j for j in reversed(jc))
+        yield SphericalCase(degree, (degree - i,), mirror, tag, shape, norm, True)
+
+    for i, j in product(range(1, degree), repeat=2):
+        yield SphericalCase(degree, (i,), (j,), TAG_GRASSMANNIAN, ShapeClass(CHAIN))
+        if j < n:
+            yield SphericalCase(degree, (i,), (j, j + 1), TAG_CONSECUTIVE, ShapeClass(CHAIN))
+    for p in range(2, n - 2):
+        for q in range(p + 2, n):
+            yield from both(2, (p, q), TAG_DIAMOND, ShapeClass(STRETCHED_DIAMOND), (p, q))
+    for i, j in product(range(2, n), range(3, n - 1)):
+        # a or b when j <= i, a or c when i + j - 2 < n
+        ladder = LADDER_TAGS[2 * (j > i) + (i + j - 2 >= n)]
+        yield from both(i, (1, j), ladder, ShapeClass(ladder), (i, j))
 
 
 def spherical_pairs(degree: int) -> list[SphericalCase]:
-    """All catalogued pairs for one degree, left complement of size <= 1.
+    """All catalogued pairs for one degree, sorted by their two complements.
 
-    Pairs where either genset is everything give a single coset and are
-    tagged trivial; the remaining catalogue rows have a singleton left
-    complement and are classified by their side conditions.  Pairs
-    matching no case are outside the catalogue and are not produced.
+    >>> for c in spherical_pairs(6):
+    ...     if c.i_complement == (3,) and c.tag == "ladder-a":
+    ...         print(c.j_complement, c.norm, c.mirrored)
+    (1, 3) (3, 3) False
+    (3, 5) (3, 3) True
     """
     if degree < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")
-    n = degree - 1
-    indices = range(1, n + 1)
-    cases: list[SphericalCase] = []
-    point = ShapeClass(POINT)
-    every = [jc for r in range(n + 1) for jc in combinations(indices, r)]
-    # Away from the two ends, _classify catalogues right complements of
-    # one or two indices only.
-    one_or_two = [jc for r in (1, 2) for jc in combinations(indices, r)]
-
-    for jc in every:
-        cases.append(SphericalCase(degree, (), jc, TAG_TRIVIAL, point))
-    for i in indices:
-        cases.append(SphericalCase(degree, (i,), (), TAG_TRIVIAL, point))
-        for jc in every[1:] if i in (1, n) else one_or_two:
-            hit = _classify(degree, i, jc)
-            if hit is None:
-                continue
-            tag, shape, norm, mirrored = hit
-            cases.append(SphericalCase(degree, (i,), jc, tag, shape, norm, mirrored))
+    point, chain = ShapeClass(POINT), ShapeClass(CHAIN)
+    every = [jc for r in range(degree) for jc in combinations(range(1, degree), r)]
+    cases = [SphericalCase(degree, (), jc, TAG_TRIVIAL, point) for jc in every]
+    cases += [SphericalCase(degree, (i,), (), TAG_TRIVIAL, point) for i in range(1, degree)]
+    # a left end is a projective factor with any right complement no family takes
+    ends = [jc for jc in every[degree:] if jc != (jc[0], jc[0] + 1)]
+    for i in {1, degree - 1}:
+        cases += [SphericalCase(degree, (i,), jc, TAG_PROJECTIVE, chain) for jc in ends]
+    cases += _family_rows(degree)
     cases.sort(key=lambda c: (c.i_complement, c.j_complement))
     return cases
 

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import bruhat
 from .parabolic import COSET_CAP, coset_bound
-from .poset import FinitePoset
+from .poset import _MEMBER_CAP, FinitePoset
 from .symgroup import (
     CapExceeded,
     GenSet,
@@ -283,15 +283,6 @@ def _staircase(degree: int, jc: Iterable[int]) -> tuple[int, ...]:
     return tuple(sum(1 for j in jcs if j >= i) for i in range(1, degree + 1))
 
 
-#: The most members ``orbit_poset`` may build.  Its reachability masks
-#: take members² bits; 7! members, the generic orbit at degree 7, take
-#: about 0.3 s to build and 0.7 s and 49 MiB peak to print as JSON from
-#: the command line (2 cores, Python 3.11), while 8! would need
-#: gigabytes.  ``is_tight`` and ``tight_scan`` build no such masks and
-#: answer to ``TIGHT_BIT_CAP``.
-ORBIT_MEMBER_CAP = math.factorial(7)
-
-
 def _ranked(t: Sequence) -> tuple[list, tuple[int, ...]]:
     """The distinct values of t in increasing order, and each entry's rank among them.
 
@@ -369,14 +360,14 @@ def orbit_poset(theta: Sequence, restriction: GenSet | None = None) -> OrbitPose
     step, and a target is a cover when it lies above no other target.
     The member count is at most the number of double cosets of the
     restriction and the stabilizer of theta, so the call refuses up
-    front when ``coset_bound`` exceeds ``ORBIT_MEMBER_CAP``.
+    front when ``coset_bound`` exceeds ``_MEMBER_CAP``.
     """
     t = check_dominant(theta)
     gens = None if restriction is None else check_genset(restriction, len(t))
     bound = coset_bound(len(t), gens or frozenset(), _stabilizer(t))
-    if bound > ORBIT_MEMBER_CAP:
+    if bound > _MEMBER_CAP:
         raise CapExceeded(
-            f"an orbit of up to {bound} members exceeds the member cap {ORBIT_MEMBER_CAP}"
+            f"an orbit of up to {bound} members exceeds the member cap {_MEMBER_CAP}"
         )
     values, ranks = _ranked(t)
     members = _rearrangements(ranks, gens or ())

@@ -4,9 +4,11 @@ Each builds what no command needs: a Hasse diagram reduced from a whole
 relation, the order tables of a whole symmetric group, a coset's members
 found by closing one member under generator moves, a coset's longest
 member walked from its table's rows, every coset of a pair checked
-against those tables, family membership decided by isomorphism against
-the templates, each catalogued case checked on its own labelled poset,
-and tightness by masks over every orbit member.
+against those tables, the catalogue's side conditions as first written,
+one classifier over every (left index, right complement) pair, family
+membership decided by isomorphism against the templates, each
+catalogued case checked on its own labelled poset, and tightness by
+masks over every orbit member.
 With them live the small helpers that only tests call: left
 multiplication, left descents and ascents, and the rejected bottom
 length of the diamond analysis.  Test files import them from here and
@@ -21,6 +23,10 @@ from dcbruhat.bruhat import covers
 from dcbruhat.parabolic import decompose
 from dcbruhat.poset import (
     CHAIN,
+    LADDER_A,
+    LADDER_B,
+    LADDER_C,
+    LADDER_D,
     LADDER_TAGS,
     POINT,
     STRETCHED_DIAMOND,
@@ -34,6 +40,10 @@ from dcbruhat.poset import (
     shape_template,
 )
 from dcbruhat.spherical import (
+    TAG_CONSECUTIVE,
+    TAG_DIAMOND,
+    TAG_GRASSMANNIAN,
+    TAG_PROJECTIVE,
     CaseResult,
     NoClosedFormBottom,
     VerificationReport,
@@ -223,6 +233,51 @@ def check_interval_property(degree, left_gens, right_gens):
         if between != members:
             return False
     return True
+
+
+def _mirror_index(i: int, degree: int) -> int:
+    return degree - i
+
+
+def _classify(degree: int, i: int, jc: tuple[int, ...]):
+    """Tag a left-singleton pair, or None when it is not in the catalogue.
+
+    Returns (tag, predicted_shape, norm, mirrored).
+    """
+    n = degree - 1
+    if len(jc) == 1:
+        return TAG_GRASSMANNIAN, ShapeClass(CHAIN), None, False
+    if len(jc) == 2 and jc[1] == jc[0] + 1:
+        return TAG_CONSECUTIVE, ShapeClass(CHAIN), None, False
+    if i in (1, n):
+        return TAG_PROJECTIVE, ShapeClass(CHAIN), None, False
+    if len(jc) == 2 and i in (2, n - 1):
+        p, q = jc
+        if 1 < p and p + 1 < q and q < n:
+            if i == 2:
+                return TAG_DIAMOND, ShapeClass(STRETCHED_DIAMOND), (p, q), False
+            return (
+                TAG_DIAMOND,
+                ShapeClass(STRETCHED_DIAMOND),
+                (_mirror_index(q, degree), _mirror_index(p, degree)),
+                True,
+            )
+    if len(jc) == 2 and 2 <= i <= n - 1:
+        mirrored = None
+        if jc[0] == 1 and 2 < jc[1] < n - 1:
+            mirrored = False
+            istar, jstar = i, jc[1]
+        elif jc[1] == n and 2 < jc[0] < n - 1:
+            mirrored = True
+            istar, jstar = _mirror_index(i, degree), _mirror_index(jc[0], degree)
+        if mirrored is not None:
+            below = istar + jstar - 2 < n
+            if jstar <= istar:
+                tag = LADDER_A if below else LADDER_B
+            else:
+                tag = LADDER_C if below else LADDER_D
+            return tag, ShapeClass(tag), (istar, jstar), mirrored
+    return None
 
 
 def matches_family(poset, shape):

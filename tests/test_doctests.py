@@ -6,12 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from dcbruhat import bruhat, parabolic, poset, symgroup, weights
+from dcbruhat import bruhat, parabolic, poset, spherical, symgroup, weights
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-@pytest.mark.parametrize("module", [symgroup, bruhat, parabolic, poset, weights], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module",
+    [symgroup, bruhat, parabolic, poset, spherical, weights],
+    ids=lambda m: m.__name__,
+)
 def test_module_doctests(module):
     failed, attempted = doctest.testmod(module)
     assert attempted > 0

@@ -12,8 +12,8 @@ from dcbruhat.poset import UNRECOGNIZED, FinitePoset, ShapeClass, classify_shape
 from dcbruhat.spherical import (
     NoClosedFormBottom,
     SphericalCase,
-    _classify,
     _coset_table,
+    _family_rows,
     _structure,
     build_xplus_poset,
     predicted_bottom,
@@ -24,6 +24,7 @@ from dcbruhat.spherical import (
 )
 from dcbruhat.symgroup import full_genset, longest_element, parse_perm
 from oracles import (
+    _classify,
     alt_bottom_length,
     labelled_verify_case,
     labelled_verify_theorem,
@@ -60,8 +61,30 @@ def all_subsets_pairs(degree):
 
 
 def test_spherical_pairs_matches_the_all_subsets_oracle():
-    for degree in range(2, 12):
+    for degree in range(2, 17):
         assert spherical_pairs(degree) == all_subsets_pairs(degree), degree
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("degree", range(17, 20))
+def test_spherical_pairs_matches_the_all_subsets_oracle_degrees_17_to_19(degree):
+    assert spherical_pairs(degree) == all_subsets_pairs(degree)
+
+
+@pytest.mark.parametrize("degree", range(20, 41))
+def test_family_rows_match_the_classifier(degree):
+    # every right complement the families can take has one or two
+    # indices; the trivial and projective rows are listed by subsets
+    indices = range(1, degree)
+    one_or_two = [jc for r in (1, 2) for jc in itertools.combinations(indices, r)]
+    expected = set()
+    for i, jc in itertools.product(indices, one_or_two):
+        hit = _classify(degree, i, jc)
+        if hit is not None and hit[0] != "projective-factor":
+            expected.add(SphericalCase(degree, (i,), jc, *hit))
+    rows = list(_family_rows(degree))
+    assert len(rows) == len(set(rows))
+    assert set(rows) == expected
 
 
 def test_trivial_rows():
